@@ -9,7 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "ctl/command_registry.hpp"
+#include "support/json.hpp"
 
 namespace muerp::ctl {
 
@@ -132,7 +132,7 @@ bool ctl_request(const std::string& endpoint, const std::string& cmd,
   std::string host;
   std::uint16_t port = 0;
   if (!parse_endpoint(endpoint, &host, &port, error)) return false;
-  std::string body = "{\"cmd\": " + json_quote(cmd);
+  std::string body = "{\"cmd\": " + support::json::quote(cmd);
   if (!args_json.empty()) body += ", \"args\": " + args_json;
   body += "}";
   return http_post(host, port, "/api/v1/ctl", body, out, error, bearer_token);

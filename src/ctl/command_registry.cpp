@@ -2,54 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
-#include <sstream>
 #include <stdexcept>
 
 namespace muerp::ctl {
-
-std::string json_quote(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out.push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
-  return out;
-}
-
-std::string json_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  std::ostringstream os;
-  os.precision(std::numeric_limits<double>::max_digits10);
-  os << v;
-  return os.str();
-}
 
 const char* arg_type_name(ArgType type) noexcept {
   switch (type) {
@@ -77,9 +32,11 @@ bool arg_matches(const support::json::Value& value, ArgType type) {
     case ArgType::kNumber:
       return value.kind == Kind::kNumber;
     case ArgType::kInt:
+      // Within +-2^53 every integer is exact, and handlers may cast to
+      // 64-bit integers without overflow.
       return value.kind == Kind::kNumber &&
              value.number_value == std::floor(value.number_value) &&
-             std::isfinite(value.number_value);
+             std::fabs(value.number_value) <= 9007199254740992.0;
     case ArgType::kBool:
       return value.kind == Kind::kBool;
     case ArgType::kAny:
@@ -163,7 +120,9 @@ CommandResult CommandRegistry::run(std::string_view cmd,
       return CommandResult::failure(
           kErrBadArg, "argument '" + arg.name + "' must be " +
                           arg_type_name(arg.type) + ", got " +
-                          kind_name(*value));
+                          (value->is_string()
+                               ? support::json::quote(value->string_value)
+                               : kind_name(*value)));
     }
   }
   for (const auto& [name, value] : args.members) {
@@ -230,9 +189,9 @@ std::string CommandRegistry::envelope(const CommandResult& result) {
     out += "}\n";
   } else {
     out = "{\"ok\": false, \"code\": ";
-    out += json_quote(result.code);
+    out += support::json::quote(result.code);
     out += ", \"error\": ";
-    out += json_quote(result.message);
+    out += support::json::quote(result.message);
     out += "}\n";
   }
   return out;
@@ -243,17 +202,17 @@ std::string CommandRegistry::describe_json() const {
   for (std::size_t i = 0; i < commands_.size(); ++i) {
     const CommandSpec& spec = commands_[i];
     if (i != 0) out += ", ";
-    out += "{\"name\": " + json_quote(spec.name);
-    out += ", \"summary\": " + json_quote(spec.summary);
+    out += "{\"name\": " + support::json::quote(spec.name);
+    out += ", \"summary\": " + support::json::quote(spec.summary);
     out += ", \"args\": [";
     for (std::size_t a = 0; a < spec.args.size(); ++a) {
       const ArgSpec& arg = spec.args[a];
       if (a != 0) out += ", ";
-      out += "{\"name\": " + json_quote(arg.name);
-      out += ", \"type\": " + json_quote(arg_type_name(arg.type));
+      out += "{\"name\": " + support::json::quote(arg.name);
+      out += ", \"type\": " + support::json::quote(arg_type_name(arg.type));
       out += ", \"required\": ";
       out += arg.required ? "true" : "false";
-      out += ", \"help\": " + json_quote(arg.help);
+      out += ", \"help\": " + support::json::quote(arg.help);
       out += "}";
     }
     out += "]}";

@@ -53,16 +53,6 @@ inline constexpr char kErrUnauthorized[] = "unauthorized";
 inline constexpr char kErrNotFound[] = "not_found";
 
 // ---------------------------------------------------------------------------
-// JSON writing helpers for handlers building result documents. (The support
-// JSON module is a reader only; results are small enough to append by hand.)
-
-/// `s` as a quoted, escaped JSON string literal.
-std::string json_quote(std::string_view s);
-
-/// `v` with enough digits to round-trip; non-finite values become null.
-std::string json_number(double v);
-
-// ---------------------------------------------------------------------------
 // Command table.
 
 /// What one command invocation produced. `result_json` must be a complete
@@ -89,9 +79,9 @@ struct CommandResult {
 };
 
 /// Argument value kinds the schema can require. kInt additionally requires
-/// the number to be integral; kAny accepts any JSON value (the handler
-/// type-checks itself — used by `set`, whose value type depends on the
-/// setting named).
+/// the number to be integral and within +-2^53; kAny accepts any JSON value
+/// (the handler type-checks itself — used by `set`, whose value type
+/// depends on the setting named).
 enum class ArgType { kString, kNumber, kInt, kBool, kAny };
 
 const char* arg_type_name(ArgType type) noexcept;

@@ -58,6 +58,7 @@
 #include "simulation/swap_policy.hpp"     // IWYU pragma: export
 #include "simulation/time_slotted.hpp"    // IWYU pragma: export
 #include "support/cli.hpp"                // IWYU pragma: export
+#include "support/json.hpp"               // IWYU pragma: export
 #include "support/rng.hpp"                // IWYU pragma: export
 #include "support/scheduler.hpp"          // IWYU pragma: export
 #include "support/statistics.hpp"         // IWYU pragma: export

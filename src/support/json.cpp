@@ -2,7 +2,9 @@
 
 #include <cctype>
 #include <charconv>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 
 namespace muerp::support::json {
 
@@ -249,5 +251,62 @@ const Value& Value::operator[](std::size_t index) const noexcept {
 }
 
 ParseResult parse(std::string_view text) { return Parser(text).run(); }
+
+void append_quoted(std::string& out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out.push_back('"');
+  for (const char c : s) {
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += "\\u00";
+          out.push_back(kHex[(c >> 4) & 0xf]);
+          out.push_back(kHex[c & 0xf]);
+        } else {
+          out.push_back(c);
+        }
+    }
+  }
+  out.push_back('"');
+}
+
+std::string quote(std::string_view s) {
+  std::string out;
+  append_quoted(out, s);
+  return out;
+}
+
+void append_number(std::string& out, double v) {
+  if (!std::isfinite(v)) {
+    out += "null";
+    return;
+  }
+  char buf[32];  // the longest %.17g double is 24 bytes
+  const auto result =
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                    std::numeric_limits<double>::max_digits10);
+  out.append(buf, result.ptr);
+}
+
+std::string number(double v) {
+  std::string out;
+  append_number(out, v);
+  return out;
+}
 
 }  // namespace muerp::support::json

@@ -1,15 +1,20 @@
-// Minimal JSON reader for the repo's own machine-readable artifacts.
+// Minimal JSON reader and writer for the repo's own machine-readable
+// artifacts.
 //
-// The library *writes* JSON in several places (telemetry export, bench
-// --compare files, /snapshot.json); tools that need to read those files
-// back — bench_diff comparing a fresh perf run against the committed
-// BENCH_routing.json, tests round-tripping exporter output — parse with
-// this instead of growing a third-party dependency. It is a strict
-// recursive-descent parser for the JSON actually produced here: all value
-// kinds, nested containers, string escapes (\" \\ \/ \b \f \n \r \t and
-// \uXXXX for the Basic Multilingual Plane; surrogate pairs are rejected),
-// with object member order preserved. It is not a streaming parser and has
-// no writer — the emitters already format their own output.
+// Writer: every JSON document the library and tools emit (ctl envelopes,
+// telemetry export, flight records, alert and link tables, muerpd's pages)
+// formats its strings with quote() and its numbers with number(), so one
+// escaping rule and one number format hold everywhere. Documents are
+// assembled by appending to a std::string; there is no DOM builder.
+//
+// Reader: tools that read those documents back — bench_diff comparing a
+// fresh perf run against the committed BENCH_routing.json, tests
+// round-tripping exporter output — parse with this instead of growing a
+// third-party dependency. It is a strict recursive-descent parser for the
+// JSON actually produced here: all value kinds, nested containers, string
+// escapes (\" \\ \/ \b \f \n \r \t and \uXXXX for the Basic Multilingual
+// Plane; surrogate pairs are rejected), with object member order preserved.
+// It is not a streaming parser.
 #pragma once
 
 #include <cstddef>
@@ -60,5 +65,17 @@ struct ParseResult {
 /// Parses a complete JSON document (trailing whitespace allowed, trailing
 /// garbage is an error).
 ParseResult parse(std::string_view text);
+
+/// Appends `s` as a quoted JSON string literal. \" \\ \n \r \t are escaped
+/// by name, every other byte below 0x20 as \u00xx; all other bytes (UTF-8
+/// included) pass through, so parse(quote(s)) == s for any byte string.
+void append_quoted(std::string& out, std::string_view s);
+std::string quote(std::string_view s);
+
+/// Appends `v` with max_digits10 significant digits (%.17g), which parse()
+/// reads back bit for bit. NaN and +-Inf become null: JSON has no literal
+/// for them.
+void append_number(std::string& out, double v);
+std::string number(double v);
 
 }  // namespace muerp::support::json

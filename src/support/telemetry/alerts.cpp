@@ -1,10 +1,8 @@
 #include "support/telemetry/alerts.hpp"
 
-#include <cmath>
-#include <limits>
-#include <sstream>
 #include <utility>
 
+#include "support/json.hpp"
 #include "support/telemetry/log.hpp"
 
 namespace muerp::support::telemetry {
@@ -75,30 +73,6 @@ bool validate_alert_rule(const AlertRule& rule, std::string* error) {
   return true;
 }
 
-namespace {
-
-void append_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  std::ostringstream tmp;
-  tmp.precision(std::numeric_limits<double>::max_digits10);
-  tmp << v;
-  out += tmp.str();
-}
-
-void append_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  out.push_back('"');
-}
-
-}  // namespace
-
 std::string alerts_json(const std::vector<AlertStatus>& statuses) {
   std::size_t firing = 0;
   for (const AlertStatus& status : statuses) {
@@ -111,32 +85,32 @@ std::string alerts_json(const std::vector<AlertStatus>& statuses) {
     const AlertRule& rule = status.rule;
     if (i != 0) body += ", ";
     body += "{\"name\": ";
-    append_string(body, rule.name);
+    json::append_quoted(body, rule.name);
     body += ", \"kind\": \"";
     body += alert_kind_name(rule.kind);
     body += "\", \"metric\": ";
-    append_string(body, rule.metric);
+    json::append_quoted(body, rule.metric);
     if (rule.kind == AlertKind::kRatio) {
       body += ", \"denominator\": ";
-      append_string(body, rule.denominator);
+      json::append_quoted(body, rule.denominator);
     }
     if (rule.kind == AlertKind::kHistogramQuantile) {
       body += ", \"quantile\": ";
-      append_number(body, rule.quantile);
+      json::append_number(body, rule.quantile);
     }
     body += ", \"window_s\": ";
-    append_number(body, static_cast<double>(rule.window_ns) / 1e9);
+    json::append_number(body, static_cast<double>(rule.window_ns) / 1e9);
     body += ", \"op\": \"";
     body += alert_op_name(rule.op);
     body += "\", \"threshold\": ";
-    append_number(body, rule.threshold);
+    json::append_number(body, rule.threshold);
     body += ", \"for\": " + std::to_string(rule.for_count);
     body += ", \"severity\": ";
-    append_string(body, rule.severity);
+    json::append_quoted(body, rule.severity);
     body += ", \"firing\": ";
     body += status.firing ? "true" : "false";
     body += ", \"value\": ";
-    append_number(body, status.value);
+    json::append_number(body, status.value);
     body += ", \"breached\": " + std::to_string(status.breached);
     body += ", \"evaluations\": " + std::to_string(status.evaluations);
     body += '}';

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
-#include <limits>
 #include <numeric>
 #include <ostream>
 #include <sstream>
 #include <vector>
 
+#include "support/json.hpp"
 #include "support/table.hpp"
 
 namespace muerp::support::telemetry {
@@ -16,45 +16,6 @@ namespace muerp::support::telemetry {
 namespace {
 
 constexpr double kNsPerMs = 1e6;
-
-void write_json_string(std::ostream& out, std::string_view s) {
-  out << '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out << "\\\"";
-        break;
-      case '\\':
-        out << "\\\\";
-        break;
-      case '\n':
-        out << "\\n";
-        break;
-      case '\t':
-        out << "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << "\\u00" << "0123456789abcdef"[(c >> 4) & 0xf]
-              << "0123456789abcdef"[c & 0xf];
-        } else {
-          out << c;
-        }
-    }
-  }
-  out << '"';
-}
-
-void write_json_number(std::ostream& out, double v) {
-  if (!std::isfinite(v)) {
-    out << "null";  // JSON has no Infinity/NaN
-    return;
-  }
-  std::ostringstream tmp;
-  tmp.precision(std::numeric_limits<double>::max_digits10);
-  tmp << v;
-  out << tmp.str();
-}
 
 struct Indenter {
   int width;
@@ -108,7 +69,7 @@ void write_json(std::ostream& out, const Snapshot& snapshot, int indent) {
     if (!first) out << ',';
     first = false;
     ind.newline(out);
-    write_json_string(out, counter_name(static_cast<std::uint32_t>(i)));
+    out << json::quote(counter_name(static_cast<std::uint32_t>(i)));
     out << ": " << snapshot.counters[i];
   }
   close('}');
@@ -122,9 +83,9 @@ void write_json(std::ostream& out, const Snapshot& snapshot, int indent) {
     if (!first) out << ',';
     first = false;
     ind.newline(out);
-    write_json_string(out, gauge_name(static_cast<std::uint32_t>(i)));
+    out << json::quote(gauge_name(static_cast<std::uint32_t>(i)));
     out << ": ";
-    write_json_number(out, snapshot.gauges[i]);
+    out << json::number(snapshot.gauges[i]);
   }
   close('}');
   out << ',';
@@ -139,30 +100,30 @@ void write_json(std::ostream& out, const Snapshot& snapshot, int indent) {
     if (!first) out << ',';
     first = false;
     ind.newline(out);
-    write_json_string(out, histogram_name(static_cast<std::uint32_t>(i)));
+    out << json::quote(histogram_name(static_cast<std::uint32_t>(i)));
     out << ": ";
     open('{');
     ind.newline(out);
     out << "\"count\": " << h.count << ',';
     ind.newline(out);
     out << "\"sum\": ";
-    write_json_number(out, h.sum);
+    out << json::number(h.sum);
     out << ',';
     ind.newline(out);
     out << "\"mean\": ";
-    write_json_number(out, h.sum / static_cast<double>(h.count));
+    out << json::number(h.sum / static_cast<double>(h.count));
     out << ',';
     ind.newline(out);
     out << "\"p50\": ";
-    write_json_number(out, h.quantile(0.5));
+    out << json::number(h.quantile(0.5));
     out << ',';
     ind.newline(out);
     out << "\"p95\": ";
-    write_json_number(out, h.quantile(0.95));
+    out << json::number(h.quantile(0.95));
     out << ',';
     ind.newline(out);
     out << "\"p99\": ";
-    write_json_number(out, h.quantile(0.99));
+    out << json::number(h.quantile(0.99));
     out << ',';
     ind.newline(out);
     out << "\"buckets\": [";
@@ -172,7 +133,7 @@ void write_json(std::ostream& out, const Snapshot& snapshot, int indent) {
       if (!first_bucket) out << ", ";
       first_bucket = false;
       out << "[";
-      write_json_number(out, histogram_bucket_upper_bound(b));
+      out << json::number(histogram_bucket_upper_bound(b));
       out << ", " << h.buckets[b] << "]";
     }
     out << ']';
@@ -191,11 +152,11 @@ void write_json(std::ostream& out, const Snapshot& snapshot, int indent) {
     first = false;
     ind.newline(out);
     out << "{\"label\": ";
-    write_json_string(out, span_label(static_cast<SpanId>(i)));
+    out << json::quote(span_label(static_cast<SpanId>(i)));
     out << ", \"count\": " << s.count << ", \"total_ms\": ";
-    write_json_number(out, static_cast<double>(s.total_ns) / kNsPerMs);
+    out << json::number(static_cast<double>(s.total_ns) / kNsPerMs);
     out << ", \"self_ms\": ";
-    write_json_number(out, static_cast<double>(s.self_ns) / kNsPerMs);
+    out << json::number(static_cast<double>(s.self_ns) / kNsPerMs);
     out << '}';
   }
   close(']');
@@ -301,10 +262,7 @@ void write_metric_number(std::ostream& out, double v) {
   } else if (std::isinf(v)) {
     out << (v > 0 ? "+Inf" : "-Inf");
   } else {
-    std::ostringstream tmp;
-    tmp.precision(std::numeric_limits<double>::max_digits10);
-    tmp << v;
-    out << tmp.str();
+    out << json::number(v);
   }
 }
 
@@ -403,12 +361,12 @@ void write_chrome_trace(std::ostream& out,
     if (!first) out << ",\n";
     first = false;
     out << R"({"name": )";
-    write_json_string(out, span_label(e.span));
+    out << json::quote(span_label(e.span));
     out << R"(, "cat": "muerp", "ph": "X", "pid": 1, "tid": )" << e.thread
         << R"(, "ts": )";
-    write_json_number(out, static_cast<double>(e.start_ns) / 1e3);
+    out << json::number(static_cast<double>(e.start_ns) / 1e3);
     out << R"(, "dur": )";
-    write_json_number(out, static_cast<double>(e.duration_ns) / 1e3);
+    out << json::number(static_cast<double>(e.duration_ns) / 1e3);
     out << R"(, "args": {"depth": )" << e.depth << "}}";
   }
   out << "\n]\n";

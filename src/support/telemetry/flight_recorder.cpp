@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <iterator>
-#include <limits>
-#include <sstream>
 #include <utility>
 
+#include "support/json.hpp"
 #include "support/telemetry/metrics.hpp"
 
 namespace muerp::support::telemetry {
@@ -293,26 +292,6 @@ RoutingWork capture_routing_work() noexcept { return {}; }
 
 #endif  // MUERP_TELEMETRY_ENABLED
 
-namespace {
-
-void append_escaped(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  out.push_back('"');
-}
-
-void append_double(std::string& out, double v) {
-  std::ostringstream tmp;
-  tmp.precision(std::numeric_limits<double>::max_digits10);
-  tmp << v;
-  out += tmp.str();
-}
-
-}  // namespace
-
 std::string session_record_json(const SessionRecord& record) {
   std::string out = "{\"id\": " + std::to_string(record.id);
   out += ", \"lane\": " + std::to_string(record.lane);
@@ -332,11 +311,11 @@ std::string session_record_json(const SessionRecord& record) {
     out += std::to_string(record.group[i]);
   }
   out += "], \"algorithm\": ";
-  append_escaped(out, record.algorithm);
+  json::append_quoted(out, record.algorithm);
   out += ", \"policy\": ";
-  append_escaped(out, record.policy);
+  json::append_quoted(out, record.policy);
   out += ", \"tree_rate\": ";
-  append_double(out, record.tree_rate);
+  json::append_number(out, record.tree_rate);
   out += ", \"tree_channels\": " + std::to_string(record.tree_channels);
   out += ", \"work\": {\"spf_runs\": " + std::to_string(record.work.spf_runs);
   out += ", \"dijkstra_runs\": " + std::to_string(record.work.dijkstra_runs);
@@ -396,9 +375,9 @@ std::string session_trace_json(const SessionRecord& record) {
   admission += "\", \"reject_reason\": \"";
   admission += reject_reason_name(record.reject_reason);
   admission += "\", \"algorithm\": ";
-  append_escaped(admission, record.algorithm);
+  json::append_quoted(admission, record.algorithm);
   admission += ", \"policy\": ";
-  append_escaped(admission, record.policy);
+  json::append_quoted(admission, record.policy);
   admission += ", \"group_size\": " + std::to_string(record.group.size());
   admission += ", \"spf_runs\": " + std::to_string(record.work.spf_runs);
   admission +=
@@ -416,7 +395,7 @@ std::string session_trace_json(const SessionRecord& record) {
     hold += session_state_name(record.state);
     hold += "\", \"held_slots\": " + std::to_string(record.held_slots);
     hold += ", \"tree_rate\": ";
-    append_double(hold, record.tree_rate);
+    json::append_number(hold, record.tree_rate);
     hold += ", \"tree_channels\": " + std::to_string(record.tree_channels);
     hold += "}}";
     out += ", " + hold;

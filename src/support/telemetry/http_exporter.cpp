@@ -16,6 +16,7 @@
 #include <limits>
 #include <sstream>
 
+#include "support/json.hpp"
 #include "support/telemetry/export.hpp"
 #include "support/telemetry/log.hpp"
 #include "support/telemetry/metrics.hpp"
@@ -45,6 +46,8 @@ const char* reason_phrase(int status) {
       return "Payload Too Large";
     case 431:
       return "Request Header Fields Too Large";
+    case 500:
+      return "Internal Server Error";
     case 503:
       return "Service Unavailable";
     default:
@@ -211,26 +214,6 @@ double seconds_param(std::string_view query, std::string_view key,
     return std::numeric_limits<double>::quiet_NaN();
   }
   return value;
-}
-
-void append_json_number(std::string& out, double v) {
-  if (!std::isfinite(v)) {
-    out += "null";
-    return;
-  }
-  std::ostringstream tmp;
-  tmp.precision(std::numeric_limits<double>::max_digits10);
-  tmp << v;
-  out += tmp.str();
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out.push_back('"');
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    if (static_cast<unsigned char>(c) >= 0x20) out.push_back(c);
-  }
-  out.push_back('"');
 }
 
 }  // namespace
@@ -438,8 +421,10 @@ std::string HttpExporter::respond(const HttpRequest& request) {
   if (handler) return handler(request);
   if (!allow.empty()) {
     return response(405, "application/json",
-                    "{\"error\": \"method " + request.method +
-                        " not allowed here; use " + allow + "\"}\n",
+                    "{\"error\": " +
+                        json::quote("method " + request.method +
+                                    " not allowed here; use " + allow) +
+                        "}\n",
                     "Allow: " + allow + "\r\n");
   }
   return respond_not_found();
@@ -448,11 +433,8 @@ std::string HttpExporter::respond(const HttpRequest& request) {
 std::string HttpExporter::respond_health() {
   std::string body = "{\"status\": \"ok\"";
   body += ", \"uptime_s\": ";
-  {
-    std::ostringstream uptime;
-    uptime << static_cast<double>(monotonic_now_ns() - start_ns_) / 1e9;
-    body += uptime.str();
-  }
+  json::append_number(
+      body, static_cast<double>(monotonic_now_ns() - start_ns_) / 1e9);
   body += ", \"requests\": " + std::to_string(requests_.load());
   body += ", \"telemetry\": ";
   body += MUERP_TELEMETRY_ENABLED ? "true" : "false";
@@ -520,13 +502,13 @@ std::string HttpExporter::respond_range(const std::string& query) {
   const RangeSeries series = store->range(metric, window_ns, step_ns);
 
   std::string body = "{\"metric\": ";
-  append_json_string(body, metric);
+  json::append_quoted(body, metric);
   body += ", \"kind\": \"";
   body += metric_kind_name(series.kind);
   body += "\", \"window_s\": ";
-  append_json_number(body, window_s);
+  json::append_number(body, window_s);
   body += ", \"step_s\": ";
-  append_json_number(body, step_s);
+  json::append_number(body, step_s);
   body += ", \"samples\": " + std::to_string(store->size());
   body += ", \"points\": [";
   const bool histogram = series.kind == MetricKind::kHistogram;
@@ -534,16 +516,16 @@ std::string HttpExporter::respond_range(const std::string& query) {
     const RangePoint& p = series.points[i];
     if (i != 0) body += ", ";
     body += "{\"t_s\": ";
-    append_json_number(body, p.t_s);
+    json::append_number(body, p.t_s);
     body += ", \"value\": ";
-    append_json_number(body, p.value);
+    json::append_number(body, p.value);
     if (histogram) {
       body += ", \"p50\": ";
-      append_json_number(body, p.p50);
+      json::append_number(body, p.p50);
       body += ", \"p95\": ";
-      append_json_number(body, p.p95);
+      json::append_number(body, p.p95);
       body += ", \"p99\": ";
-      append_json_number(body, p.p99);
+      json::append_number(body, p.p99);
     }
     body += '}';
   }
@@ -564,7 +546,7 @@ std::string HttpExporter::respond_series_index() {
   for (std::size_t i = 0; i < entries.size(); ++i) {
     if (i != 0) body += ", ";
     body += "{\"name\": ";
-    append_json_string(body, entries[i].name);
+    json::append_quoted(body, entries[i].name);
     body += ", \"kind\": \"";
     body += metric_kind_name(entries[i].kind);
     body += "\"}";

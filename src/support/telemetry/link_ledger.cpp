@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <limits>
-#include <sstream>
 #include <utility>
+
+#include "support/json.hpp"
 
 namespace muerp::support::telemetry {
 
@@ -305,13 +305,6 @@ void sort_links(std::vector<LinkStat>& stats, LinkSort sort,
 
 namespace {
 
-void append_double(std::string& out, double v) {
-  std::ostringstream tmp;
-  tmp.precision(std::numeric_limits<double>::max_digits10);
-  tmp << v;
-  out += tmp.str();
-}
-
 void append_index_array(std::string& out,
                         const std::vector<std::uint32_t>& indices) {
   out += '[';
@@ -337,11 +330,11 @@ std::string link_stat_json(const LinkStat& stat) {
   out += ", \"capacity\": " + std::to_string(stat.capacity);
   out += ", \"held\": " + std::to_string(stat.held);
   out += ", \"utilization\": ";
-  append_double(out, stat.utilization);
+  json::append_number(out, stat.utilization);
   out += ", \"ewma_utilization\": ";
-  append_double(out, stat.ewma_utilization);
+  json::append_number(out, stat.ewma_utilization);
   out += ", \"window_utilization\": ";
-  append_double(out, stat.window_utilization);
+  json::append_number(out, stat.window_utilization);
   out += ", \"attempts\": " + std::to_string(stat.attempts);
   out += ", \"wins\": " + std::to_string(stat.wins);
   out += ", \"contention_losses\": " + std::to_string(stat.contention_losses);

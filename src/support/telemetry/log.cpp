@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <cstdio>
 #include <iostream>
-#include <limits>
 #include <mutex>
-#include <sstream>
 
+#include "support/json.hpp"
 #include "support/telemetry/metrics.hpp"
 
 // Name parsing is part of the CLI surface (--log-level / --log-format), so
@@ -85,61 +83,19 @@ LogState& state() {
   return *instance;
 }
 
-void append_json_escaped(std::string& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-}
-
-std::string render_number(double v) {
-  if (!std::isfinite(v)) return "null";
-  std::ostringstream tmp;
-  tmp.precision(std::numeric_limits<double>::max_digits10);
-  tmp << v;
-  return tmp.str();
-}
-
 /// Field value as it appears in the JSON line: already valid JSON (quoted
 /// strings, bare numbers/bools). The text renderer strips nothing — quoted
 /// strings read fine in both.
 std::string render_field_value(const LogField& f) {
   switch (f.kind) {
-    case LogField::Kind::kString: {
-      std::string out = "\"";
-      append_json_escaped(out, f.string_value);
-      out += '"';
-      return out;
-    }
+    case LogField::Kind::kString:
+      return json::quote(f.string_value);
     case LogField::Kind::kInt:
       return std::to_string(f.int_value);
     case LogField::Kind::kUint:
       return std::to_string(f.uint_value);
     case LogField::Kind::kDouble:
-      return render_number(f.double_value);
+      return json::number(f.double_value);
     case LogField::Kind::kBool:
       return f.bool_value ? "true" : "false";
   }
@@ -180,24 +136,23 @@ std::string render_log_event(const LogEvent& event, LogFormat format) {
   std::string line;
   if (format == LogFormat::kJson) {
     line += "{\"ts_ms\": ";
-    line += render_number(event.ts_ms);
+    json::append_number(line, event.ts_ms);
     line += ", \"level\": \"";
     line += log_level_name(event.level);
-    line += "\", \"event\": \"";
-    append_json_escaped(line, event.name);
-    line += "\", \"thread\": ";
+    line += "\", \"event\": ";
+    json::append_quoted(line, event.name);
+    line += ", \"thread\": ";
     line += std::to_string(event.thread);
     if (event.trace_id != 0) {
       line += ", \"trace_id\": ";
       line += std::to_string(event.trace_id);
-      line += ", \"span\": \"";
-      append_json_escaped(line, event.span);
-      line += '"';
+      line += ", \"span\": ";
+      json::append_quoted(line, event.span);
     }
     for (const auto& [key, value] : event.fields) {
-      line += ", \"";
-      append_json_escaped(line, key);
-      line += "\": ";
+      line += ", ";
+      json::append_quoted(line, key);
+      line += ": ";
       line += value;  // already rendered as JSON
     }
     line += '}';

@@ -23,7 +23,7 @@ CommandRegistry make_registry() {
                 {{"message", ArgType::kString, true, "text to echo"}},
                 [](const support::json::Value& args) {
                   return CommandResult::success(
-                      json_quote(args["message"].string_value));
+                      support::json::quote(args["message"].string_value));
                 }});
   registry.add({"clamp",
                 "rejects values outside [0, 1]",
@@ -34,7 +34,7 @@ CommandRegistry make_registry() {
                     return CommandResult::failure(kErrOutOfRange,
                                                   "value must be in [0, 1]");
                   }
-                  return CommandResult::success(json_number(v));
+                  return CommandResult::success(support::json::number(v));
                 }});
   registry.add({"ping", "no arguments", {}, [](const support::json::Value&) {
                   return CommandResult::success("\"pong\"");
@@ -122,7 +122,7 @@ TEST(CommandRegistry, RunDispatchesWithoutEnvelope) {
   ASSERT_TRUE(args.ok());
   const CommandResult result = registry.run("clamp", args.value);
   EXPECT_TRUE(result.ok);
-  EXPECT_EQ(result.result_json, json_number(0.5));
+  EXPECT_EQ(result.result_json, support::json::number(0.5));
 }
 
 TEST(CommandRegistry, AddRejectsDuplicatesAndFindIsSorted) {
@@ -149,12 +149,25 @@ TEST(CommandRegistry, DescribeJsonListsCommandsWithSchemas) {
   EXPECT_TRUE(found_echo);
 }
 
-TEST(JsonHelpers, QuoteEscapesAndNumberRoundTrips) {
-  EXPECT_EQ(json_quote("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-  EXPECT_EQ(json_quote(std::string(1, '\x01')), "\"\\u0001\"");
-  const support::json::Value n = parse_ok(json_number(0.1));
-  EXPECT_EQ(n.number_value, 0.1);  // max_digits10 round-trips bitwise
-  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "null");
+TEST(CommandRegistry, IntArgsMustBeExactIntegers) {
+  CommandRegistry registry;
+  registry.add({"nth", "takes an int", {{"n", ArgType::kInt, true, "index"}},
+                [](const support::json::Value&) {
+                  return CommandResult::success();
+                }});
+  const auto code_of = [&registry](const char* args) {
+    const support::json::ParseResult parsed = support::json::parse(args);
+    EXPECT_TRUE(parsed.ok()) << parsed.error;
+    const CommandResult result = registry.run("nth", parsed.value);
+    return result.ok ? std::string("ok") : result.code;
+  };
+  EXPECT_EQ(code_of(R"({"n": 7})"), "ok");
+  EXPECT_EQ(code_of(R"({"n": -9007199254740992})"), "ok");  // -2^53
+  EXPECT_EQ(code_of(R"({"n": 1.5})"), kErrBadArg);
+  // Past 2^53 a double no longer holds every integer, and a cast to a
+  // 64-bit integer can overflow: the schema refuses it.
+  EXPECT_EQ(code_of(R"({"n": 1e20})"), kErrBadArg);
+  EXPECT_EQ(code_of(R"({"n": "7"})"), kErrBadArg);
 }
 
 }  // namespace

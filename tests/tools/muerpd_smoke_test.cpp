@@ -806,6 +806,98 @@ TEST(MuerpdSmoke, NetworkPlaneServesTopologyLinksAndExplain) {
   std::fclose(daemon.out);
 }
 
+/// The status line's code ("HTTP/1.1 400 Bad Request" -> 400); 0 if none.
+int status_of(const std::string& response) {
+  return response.rfind("HTTP/1.1 ", 0) == 0
+             ? std::atoi(response.c_str() + sizeof("HTTP/1.1 ") - 1)
+             : 0;
+}
+
+TEST(MuerpdSmoke, GetPagesValidateAndRenderLikeTheirCtlVerbs) {
+  // Six qubits per switch give fibers 3 channels, so edge utilizations are
+  // thirds: 6 significant digits cannot carry them.
+  DaemonProcess daemon = spawn_muerpd(
+      {"--port", "0", "--slots", "0", "--slot-ms", "1", "--arrival", "0.9",
+       "--switches", "30", "--users", "8", "--qubits", "6", "--swap", "0.5",
+       "--timeout", "4", "--seed", "11"});
+  ASSERT_GT(daemon.pid, 0);
+  const std::uint16_t port = read_serving_port(daemon.out);
+  ASSERT_NE(port, 0);
+  ::usleep(400 * 1000);
+
+  // Hostile query text comes back inside a valid JSON error body.
+  const struct {
+    const char* path;
+    const char* decoded;
+  } hostile[] = {{"/api/v1/sessions?state=%22x%0A", "\"x\n"},
+                 {"/api/v1/links?sort=%22", "\""}};
+  for (const auto& h : hostile) {
+    const std::string response = http_get(port, h.path);
+    EXPECT_EQ(status_of(response), 400) << h.path;
+    const auto doc = muerp::support::json::parse(body_of(response));
+    ASSERT_TRUE(doc.ok()) << h.path << ": " << doc.error;
+    EXPECT_NE(doc.value["error"].string_value.find(h.decoded),
+              std::string::npos)
+        << h.path << ": " << body_of(response);
+  }
+
+  // Malformed numbers are refused the way the ctl verbs refuse them.
+  for (const char* path :
+       {"/api/v1/sessions?lane=abc", "/api/v1/sessions?limit=-3",
+        "/api/v1/links?limit=x", "/api/v1/session/-1", "/api/v1/session/"}) {
+    const std::string response = http_get(port, path);
+    EXPECT_EQ(status_of(response), 400) << path;
+    const auto doc = muerp::support::json::parse(body_of(response));
+    ASSERT_TRUE(doc.ok()) << path << ": " << doc.error;
+    EXPECT_TRUE(doc.value["error"].is_string()) << path;
+  }
+  EXPECT_EQ(status_of(http_get(port, "/api/v1/sessions?lane=0&limit=2")), 200);
+
+  // A GET page never reaches a mutation: the alerts page pins slo to list.
+  EXPECT_EQ(status_of(http_get(
+                port, "/api/v1/alerts?action=remove&name=rejection-ratio")),
+            200);
+#if MUERP_TELEMETRY_ENABLED
+  auto doc = ctl(port, "slo");
+  ASSERT_TRUE(doc.ok()) << doc.error;
+  bool listed = false;
+  for (const auto& rule : doc.value["result"]["rules"].elements) {
+    listed = listed || rule["name"].string_value == "rejection-ratio";
+  }
+  EXPECT_TRUE(listed) << "GET removed an alert rule";
+#endif  // MUERP_TELEMETRY_ENABLED
+
+  // Paused, the ledger holds still: topology and links report every edge
+  // with the identical round-trip utilization double.
+  ASSERT_TRUE(ctl(port, "pause").value["ok"].bool_value);
+  const auto topology =
+      muerp::support::json::parse(body_of(http_get(port, "/api/v1/topology")));
+  const auto links =
+      muerp::support::json::parse(body_of(http_get(port, "/api/v1/links")));
+  ASSERT_TRUE(topology.ok()) << topology.error;
+  ASSERT_TRUE(links.ok()) << links.error;
+  std::size_t compared = 0;
+  for (const auto& link : links.value["links"].elements) {
+    if (link["kind"].string_value != "edge") continue;
+    const auto& edge =
+        topology.value["edges"][static_cast<std::size_t>(
+            link["index"].number_value)];
+    EXPECT_EQ(edge["utilization"].number_value,
+              link["utilization"].number_value)
+        << "edge " << link["index"].number_value;
+    ++compared;
+  }
+#if MUERP_TELEMETRY_ENABLED
+  EXPECT_EQ(compared, topology.value["edges"].elements.size());
+#endif  // MUERP_TELEMETRY_ENABLED
+  ASSERT_TRUE(ctl(port, "resume").value["ok"].bool_value);
+
+  ctl(port, "drain");
+  const int status = wait_exit(daemon.pid, 10000);
+  ASSERT_NE(status, -1) << "daemon did not exit after ctl drain";
+  std::fclose(daemon.out);
+}
+
 TEST(MuerpdSmoke, CtlTokenGuardsThePostPlane) {
   DaemonProcess daemon = spawn_muerpd(
       {"--port", "0", "--slots", "0", "--slot-ms", "1", "--arrival", "0.2",

@@ -436,9 +436,11 @@ std::string token_to_json(const std::string& text) {
   if (!text.empty()) {
     char* end = nullptr;
     const double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() + text.size()) return ctl::json_number(value);
+    if (end == text.c_str() + text.size()) {
+      return support::json::number(value);
+    }
   }
-  return ctl::json_quote(text);
+  return support::json::quote(text);
 }
 
 /// Renders trailing `key=value` positionals as a JSON args object (what the
@@ -451,7 +453,7 @@ std::string kv_args_json(const std::vector<std::string>& pos,
     const std::size_t eq = pos[i].find('=');
     if (eq == std::string::npos || eq == 0) return std::string();
     if (json.size() > 1) json += ", ";
-    json += ctl::json_quote(pos[i].substr(0, eq)) + ": " +
+    json += support::json::quote(pos[i].substr(0, eq)) + ": " +
             token_to_json(pos[i].substr(eq + 1));
   }
   return json + "}";
@@ -473,14 +475,14 @@ int cmd_ctl(const support::CliParser& cli) {
     if (pos.size() != 4) {
       return usage_fail("usage: muerpctl ctl set <name> <value>");
     }
-    args_json = "{\"name\": " + ctl::json_quote(pos[2]) +
+    args_json = "{\"name\": " + support::json::quote(pos[2]) +
                 ", \"value\": " + token_to_json(pos[3]) + "}";
   } else if (verb == "get") {
     if (pos.size() != 3) return usage_fail("usage: muerpctl ctl get <name>");
-    args_json = "{\"name\": " + ctl::json_quote(pos[2]) + "}";
+    args_json = "{\"name\": " + support::json::quote(pos[2]) + "}";
   } else if (verb == "snapshot") {
     if (const std::string out = cli.get_string("out"); !out.empty()) {
-      args_json = "{\"path\": " + ctl::json_quote(out) + "}";
+      args_json = "{\"path\": " + support::json::quote(out) + "}";
     }
   } else if (verb == "sessions") {
     args_json = kv_args_json(pos, 2);
@@ -496,7 +498,7 @@ int cmd_ctl(const support::CliParser& cli) {
     }
     args_json = "{\"id\": " + token_to_json(pos[2]);
     if (pos.size() == 4) {
-      args_json += ", \"format\": " + ctl::json_quote(pos[3]);
+      args_json += ", \"format\": " + support::json::quote(pos[3]);
     }
     args_json += "}";
   } else if (verb == "links") {
@@ -519,7 +521,7 @@ int cmd_ctl(const support::CliParser& cli) {
         return usage_fail("usage: muerpctl ctl slo remove <name>");
       }
       args_json = "{\"action\": \"remove\", \"name\": " +
-                  ctl::json_quote(pos[3]) + "}";
+                  support::json::quote(pos[3]) + "}";
     } else if (pos[2] == "set") {
       const std::string body = kv_args_json(pos, 3);
       if (body.empty() || body == "{}") {

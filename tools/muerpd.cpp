@@ -31,6 +31,10 @@
 //   GET  /api/v1/topology.svg   live heatmap: the network rendered with
 //                        every fiber stroked on the green→amber→red ramp
 //                        by its current utilization
+//   (sessions, session, alerts, topology, links and explain are the
+//   read-only ctl verbs of the same names — alerts is `slo` list — served
+//   through one adapter: same documents, same argument checks; 400 for a
+//   bad argument, 404 for an unknown session, {"error": ...} bodies)
 //   POST /api/v1/ctl     the versioned command API ({"cmd","args"} in, a
 //                        uniform {"ok",...} envelope out) — what
 //                        `muerpctl ctl <verb>` speaks. Verbs: set/get for
@@ -87,18 +91,20 @@
 // document to that path. Exit prints the ProtocolMetrics summary table.
 #include <algorithm>
 #include <atomic>
-#include <csignal>
+#include <charconv>
 #include <chrono>
+#include <cmath>
+#include <csignal>
 #include <fstream>
 #include <iostream>
 #include <mutex>
-#include <sstream>
 
 #include "muerp.hpp"
 
 namespace {
 
 using namespace muerp;
+namespace json = support::json;
 
 // Counts delivered stop signals: 1 = graceful (drain in-flight sessions),
 // 2+ = immediate (skip the drain too).
@@ -135,25 +141,6 @@ const char* run_state_name(RunState state) {
   return "?";
 }
 
-/// Strict decimal parse; false on empty or non-digit input (what the
-/// /api/v1/session/<id> path parameter and query numbers go through).
-bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char c : text) {
-    if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
-}
-
-std::string json_double(double value) {
-  std::ostringstream out;
-  out << value;
-  return out.str();
-}
-
 /// The GET /api/v1/topology document: the served network's static shape
 /// (node kinds, positions, qubit budgets, fiber endpoints and lengths)
 /// joined with the link ledger's live per-edge / per-switch occupancy.
@@ -173,8 +160,8 @@ std::string topology_json(
     out += "{\"id\": " + std::to_string(v);
     out += ", \"kind\": \"";
     out += network.is_user(v) ? "user" : "switch";
-    out += "\", \"x\": " + json_double(network.positions()[v].x);
-    out += ", \"y\": " + json_double(network.positions()[v].y);
+    out += "\", \"x\": " + json::number(network.positions()[v].x);
+    out += ", \"y\": " + json::number(network.positions()[v].y);
     if (network.is_switch(v)) {
       out += ", \"qubits\": " + std::to_string(network.qubits(v));
     }
@@ -190,10 +177,11 @@ std::string topology_json(
     out += "{\"id\": " + std::to_string(e);
     out += ", \"a\": " + std::to_string(edge.a);
     out += ", \"b\": " + std::to_string(edge.b);
-    out += ", \"length_km\": " + json_double(edge.length_km);
+    out += ", \"length_km\": " + json::number(edge.length_km);
     out += ", \"capacity\": " + std::to_string(live ? live->capacity : 0);
     out += ", \"held\": " + std::to_string(live ? live->held : 0);
-    out += ", \"utilization\": " + json_double(live ? live->utilization : 0.0);
+    out += ", \"utilization\": " +
+           json::number(live ? live->utilization : 0.0);
     out += "}";
   }
   out += "], \"switches\": [";
@@ -210,11 +198,100 @@ std::string topology_json(
            std::to_string(live ? live->capacity
                                : network.qubits(switch_ids[s]));
     out += ", \"held\": " + std::to_string(live ? live->held : 0);
-    out += ", \"utilization\": " + json_double(live ? live->utilization : 0.0);
+    out += ", \"utilization\": " +
+           json::number(live ? live->utilization : 0.0);
     out += "}";
   }
   out += "]}\n";
   return out;
+}
+
+/// A read-only GET page served by the ctl verb that renders the same
+/// document. Only `query_keys` are forwarded as args (others are ignored);
+/// a prefix route passes its path tail as `path_arg`; `fixed_args` are set
+/// by the route and cannot be overridden from the query.
+struct VerbPage {
+  const char* path;  // exact path, or a prefix when path_arg is set
+  const char* verb;
+  std::vector<std::string> query_keys;
+  const char* path_arg = nullptr;
+  std::vector<std::pair<std::string, std::string>> fixed_args;
+};
+
+const VerbPage kVerbPages[] = {
+    {"/api/v1/sessions",
+     "sessions",
+     {"state", "lane", "alg", "min-slot", "max-slot", "limit"},
+     nullptr,
+     {}},
+    {"/api/v1/session/", "session", {"format"}, "id", {}},
+    {"/api/v1/alerts", "slo", {}, nullptr, {{"action", "list"}}},
+    {"/api/v1/topology", "topology", {}, nullptr, {}},
+    {"/api/v1/links", "links", {"sort", "limit"}, nullptr, {}},
+    {"/api/v1/explain/", "explain", {}, "id", {}},
+};
+
+/// Runs `page`'s verb on the request: each non-empty value becomes the arg
+/// type its ArgSpec declares (text that is not a finite number stays a
+/// string, so the registry's schema check rejects it), and the ctl result
+/// maps to HTTP — ok 200 with the verb's document, not_found 404,
+/// bad_arg / out_of_range 400, anything else 500 — with every error body
+/// {"error": <message>}.
+std::string serve_verb_page(const ctl::CommandRegistry& registry,
+                            const VerbPage& page,
+                            const support::telemetry::HttpRequest& request) {
+  using support::telemetry::HttpExporter;
+  const ctl::CommandSpec* spec = registry.find(page.verb);
+  json::Value args;
+  args.kind = json::Value::Kind::kObject;
+  const auto add_arg = [&](const std::string& name, const std::string& text) {
+    if (text.empty()) return;
+    json::Value value;
+    value.kind = json::Value::Kind::kString;
+    value.string_value = text;
+    const bool numeric =
+        spec != nullptr &&
+        std::any_of(spec->args.begin(), spec->args.end(),
+                    [&name](const ctl::ArgSpec& a) {
+                      return a.name == name &&
+                             (a.type == ctl::ArgType::kInt ||
+                              a.type == ctl::ArgType::kNumber);
+                    });
+    double number = 0.0;
+    const auto [end, ec] =
+        std::from_chars(text.data(), text.data() + text.size(), number);
+    if (numeric && ec == std::errc() && end == text.data() + text.size() &&
+        std::isfinite(number)) {
+      value.kind = json::Value::Kind::kNumber;
+      value.number_value = number;
+    }
+    args.members.emplace_back(name, std::move(value));
+  };
+  for (const std::string& key : page.query_keys) {
+    add_arg(key, support::telemetry::http_query_param(request.query, key));
+  }
+  if (page.path_arg != nullptr) {
+    add_arg(page.path_arg,
+            request.path.substr(std::string_view(page.path).size()));
+  }
+  for (const auto& [name, value] : page.fixed_args) add_arg(name, value);
+
+  const ctl::CommandResult result = registry.run(page.verb, args);
+  if (result.ok) {
+    std::string body = result.result_json;
+    if (body.empty() || body.back() != '\n') body += '\n';
+    return HttpExporter::response(200, "application/json", body);
+  }
+  int status = 500;
+  if (result.code == ctl::kErrNotFound) {
+    status = 404;
+  } else if (result.code == ctl::kErrBadArg ||
+             result.code == ctl::kErrOutOfRange) {
+    status = 400;
+  }
+  return HttpExporter::response(
+      status, "application/json",
+      "{\"error\": " + json::quote(result.message) + "}\n");
 }
 
 /// One row of the daemon's settings table: what `ctl set`/`ctl get`
@@ -567,7 +644,7 @@ int main(int argc, char** argv) {
     body += "\"";
     {
       const std::lock_guard<std::mutex> lock(health.algorithm_mutex);
-      body += ", \"algorithm\": \"" + health.algorithm + "\"";
+      body += ", \"algorithm\": " + json::quote(health.algorithm);
     }
     body += ", \"slot\": " +
             std::to_string(health.slot.load(std::memory_order_relaxed));
@@ -649,7 +726,7 @@ int main(int argc, char** argv) {
   std::vector<Setting> settings;
   settings.push_back(
       {"arrival-rate", "session arrival probability per slot",
-       [&service] { return ctl::json_number(service.arrival_prob()); },
+       [&service] { return json::number(service.arrival_prob()); },
        [&service](const support::json::Value& value) {
          if (!value.is_number()) {
            return ctl::CommandResult::failure(ctl::kErrBadArg,
@@ -660,14 +737,14 @@ int main(int argc, char** argv) {
            return ctl::CommandResult::failure(ctl::kErrOutOfRange, error);
          }
          return ctl::CommandResult::success(
-             ctl::json_number(service.arrival_prob()));
+             json::number(service.arrival_prob()));
        }});
   settings.push_back(
       {"algorithm", "admission router (shared-prim or a registry name)",
        [&service] {
-         return ctl::json_quote(service.algorithm().empty()
-                                    ? "shared-prim"
-                                    : service.algorithm());
+         return json::quote(service.algorithm().empty()
+                                ? "shared-prim"
+                                : service.algorithm());
        },
        [&service](const support::json::Value& value) {
          if (!value.is_string()) {
@@ -681,7 +758,7 @@ int main(int argc, char** argv) {
            return ctl::CommandResult::failure(ctl::kErrOutOfRange, error);
          }
          return ctl::CommandResult::success(
-             ctl::json_quote(name.empty() ? "shared-prim" : name));
+             json::quote(name.empty() ? "shared-prim" : name));
        }});
   settings.push_back(
       {"arrival-burst", "arrival attempts per slot (>= 1)",
@@ -708,7 +785,7 @@ int main(int argc, char** argv) {
        "burst admission order (given-order|smallest-first|largest-first|"
        "greedy|fair-share)",
        [&service] {
-         return ctl::json_quote(
+         return json::quote(
              routing::batch_policy_name(service.batch_policy()));
        },
        [&service](const support::json::Value& value) {
@@ -729,13 +806,13 @@ int main(int argc, char** argv) {
            return ctl::CommandResult::failure(ctl::kErrUnsupported, error);
          }
          return ctl::CommandResult::success(
-             ctl::json_quote(routing::batch_policy_name(policy)));
+             json::quote(routing::batch_policy_name(policy)));
        }});
   settings.push_back(
       {"log-level", "structured log threshold (debug|info|warn|error|off)",
        [] {
-         return ctl::json_quote(std::string(support::telemetry::log_level_name(
-             support::telemetry::log_level())));
+         return json::quote(support::telemetry::log_level_name(
+             support::telemetry::log_level()));
        },
        [](const support::json::Value& value) {
          if (!value.is_string()) {
@@ -752,12 +829,12 @@ int main(int argc, char** argv) {
          }
          support::telemetry::set_log_level(parsed);
          return ctl::CommandResult::success(
-             ctl::json_quote(value.string_value));
+             json::quote(value.string_value));
        }});
   settings.push_back(
       {"log-rate", "per-session log events per second (0 = unlimited)",
        [&service] {
-         return ctl::json_number(service.log_events_per_second());
+         return json::number(service.log_events_per_second());
        },
        [&service](const support::json::Value& value) {
          if (!value.is_number()) {
@@ -769,7 +846,7 @@ int main(int argc, char** argv) {
            return ctl::CommandResult::failure(ctl::kErrOutOfRange, error);
          }
          return ctl::CommandResult::success(
-             ctl::json_number(service.log_events_per_second()));
+             json::number(service.log_events_per_second()));
        }});
   settings.push_back(
       {"sample-interval-ms", "time-series sampling period in milliseconds",
@@ -875,7 +952,7 @@ int main(int argc, char** argv) {
          return mailbox.submit([&] {
            const sim::ProtocolMetrics m = service.metrics();
            std::string out = "{\"state\": ";
-           out += ctl::json_quote(
+           out += json::quote(
                run_state_name(run_state.load(std::memory_order_relaxed)));
            out += ", \"slot\": " + std::to_string(service.slot());
            out += ", \"active_sessions\": " +
@@ -950,7 +1027,7 @@ int main(int argc, char** argv) {
          }
          out << document;
          return ctl::CommandResult::success(
-             "{\"written\": " + ctl::json_quote(path->string_value) + "}");
+             "{\"written\": " + json::quote(path->string_value) + "}");
        }});
   registry.add(
       {"commands",
@@ -1159,7 +1236,7 @@ int main(int argc, char** argv) {
                  "no alert rule named '" + name->string_value + "'");
            }
            return ctl::CommandResult::success(
-               "{\"removed\": " + ctl::json_quote(name->string_value) + "}");
+               "{\"removed\": " + json::quote(name->string_value) + "}");
          }
          if (action != "set") {
            return ctl::CommandResult::failure(
@@ -1237,145 +1314,22 @@ int main(int argc, char** argv) {
         return support::telemetry::HttpExporter::response(
             200, "application/json", registry.dispatch(request.body));
       });
-  // Flight-recorder + alert pages share the ctl verbs' renderers, so curl
-  // and muerpctl see identical documents (and an OFF build serves
-  // empty-but-valid ones).
-  exporter.add_route(
-      "GET", "/api/v1/sessions",
-      [&service](const support::telemetry::HttpRequest& request) {
-        namespace tel = support::telemetry;
-        tel::SessionFilter filter;
-        filter.limit = 100;
-        if (const std::string s = tel::http_query_param(request.query, "state");
-            !s.empty()) {
-          tel::SessionState state;
-          if (!tel::parse_session_state(s, &state)) {
-            return tel::HttpExporter::response(
-                400, "application/json",
-                "{\"error\": \"unknown state '" + s + "'\"}\n");
-          }
-          filter.state = state;
-        }
-        if (const std::string a = tel::http_query_param(request.query, "alg");
-            !a.empty()) {
-          filter.algorithm = a;
-        }
-        std::uint64_t number = 0;
-        if (const std::string l = tel::http_query_param(request.query, "lane");
-            !l.empty() && parse_u64(l, &number)) {
-          filter.lane = static_cast<std::uint32_t>(number);
-        }
-        if (const std::string l =
-                tel::http_query_param(request.query, "min-slot");
-            !l.empty() && parse_u64(l, &number)) {
-          filter.min_slot = number;
-        }
-        if (const std::string l =
-                tel::http_query_param(request.query, "max-slot");
-            !l.empty() && parse_u64(l, &number)) {
-          filter.max_slot = number;
-        }
-        if (const std::string l = tel::http_query_param(request.query, "limit");
-            !l.empty() && parse_u64(l, &number)) {
-          filter.limit = static_cast<std::size_t>(number);
-        }
-        return tel::HttpExporter::response(
-            200, "application/json",
-            tel::session_records_json(service.session_records(filter),
-                                      service.session_record_stats()));
-      });
-  exporter.add_prefix_route(
-      "GET", "/api/v1/session/",
-      [&service](const support::telemetry::HttpRequest& request) {
-        namespace tel = support::telemetry;
-        const std::string id_text =
-            request.path.substr(sizeof("/api/v1/session/") - 1);
-        std::uint64_t id = 0;
-        if (!parse_u64(id_text, &id)) {
-          return tel::HttpExporter::response(
-              400, "application/json",
-              "{\"error\": \"session id must be a decimal integer\"}\n");
-        }
-        const auto record = service.find_session_record(id);
-        if (!record) {
-          return tel::HttpExporter::response(
-              404, "application/json",
-              "{\"error\": \"no such session record\"}\n");
-        }
-        if (tel::http_query_param(request.query, "format") == "trace") {
-          return tel::HttpExporter::response(200, "application/json",
-                                             tel::session_trace_json(*record));
-        }
-        return tel::HttpExporter::response(
-            200, "application/json", tel::session_record_json(*record) + "\n");
-      });
-  exporter.add_route(
-      "GET", "/api/v1/alerts",
-      [&alerts](const support::telemetry::HttpRequest&) {
-        return support::telemetry::HttpExporter::response(
-            200, "application/json",
-            support::telemetry::alerts_json(alerts.status()));
-      });
-  // Network-plane pages. link_stats() snapshots each lane ledger under its
-  // own short lock and never mutates windowed state, so these serve while
-  // the lanes run; the slot label comes from the published health snapshot
-  // (the live service slot is loop-thread state).
-  exporter.add_route(
-      "GET", "/api/v1/topology",
-      [&service, &network, &health](const support::telemetry::HttpRequest&) {
-        return support::telemetry::HttpExporter::response(
-            200, "application/json",
-            topology_json(*network, service.link_stats(),
-                          health.slot.load(std::memory_order_relaxed)));
-      });
-  exporter.add_route(
-      "GET", "/api/v1/links",
-      [&service, &health](const support::telemetry::HttpRequest& request) {
-        namespace tel = support::telemetry;
-        tel::LinkSort sort = tel::LinkSort::kUtil;
-        if (const std::string s = tel::http_query_param(request.query, "sort");
-            !s.empty() && !tel::parse_link_sort(s, &sort)) {
-          return tel::HttpExporter::response(
-              400, "application/json",
-              "{\"error\": \"unknown sort '" + s + "' (util|losses)\"}\n");
-        }
-        std::size_t limit = 0;
-        std::uint64_t number = 0;
-        if (const std::string l = tel::http_query_param(request.query, "limit");
-            !l.empty() && parse_u64(l, &number)) {
-          limit = static_cast<std::size_t>(number);
-        }
-        auto stats = service.link_stats();
-        tel::sort_links(stats, sort, limit);
-        return tel::HttpExporter::response(
-            200, "application/json",
-            tel::links_json(stats,
-                            health.slot.load(std::memory_order_relaxed)));
-      });
-  exporter.add_prefix_route(
-      "GET", "/api/v1/explain/",
-      [&service](const support::telemetry::HttpRequest& request) {
-        namespace tel = support::telemetry;
-        const std::string id_text =
-            request.path.substr(sizeof("/api/v1/explain/") - 1);
-        std::uint64_t id = 0;
-        if (!parse_u64(id_text, &id)) {
-          return tel::HttpExporter::response(
-              400, "application/json",
-              "{\"error\": \"session id must be a decimal integer\"}\n");
-        }
-        // A miss is still a valid explain document ("found": false) — the
-        // OFF build and a daemon without --record-sessions serve it too.
-        const auto explained = service.explain_session(id);
-        if (!explained) {
-          return tel::HttpExporter::response(
-              200, "application/json",
-              tel::explain_json(id, nullptr, tel::SaturatedLinks{}));
-        }
-        return tel::HttpExporter::response(
-            200, "application/json",
-            tel::explain_json(id, &explained->record, explained->saturated));
-      });
+  // The read-only JSON pages are their ctl verbs behind one adapter, so
+  // curl and muerpctl get identical documents and identical validation
+  // (an OFF build serves empty-but-valid ones). Every verb here is
+  // read-only and internally locked, so pages answer on the acceptor
+  // thread while the lanes run; /api/v1/alerts pins `slo` to action=list.
+  for (const VerbPage& page : kVerbPages) {
+    const auto handler =
+        [&registry, &page](const support::telemetry::HttpRequest& request) {
+          return serve_verb_page(registry, page, request);
+        };
+    if (page.path_arg != nullptr) {
+      exporter.add_prefix_route("GET", page.path, handler);
+    } else {
+      exporter.add_route("GET", page.path, handler);
+    }
+  }
   exporter.add_route(
       "GET", "/api/v1/topology.svg",
       [&service, &network, &health](const support::telemetry::HttpRequest&) {
