@@ -24,12 +24,14 @@ namespace {
 /// recorder assigns id/lane/seq; the caller fills verdict fields.
 support::telemetry::SessionRecord make_record_draft(
     std::uint64_t slot, const std::vector<net::NodeId>& group,
-    const std::string& algorithm, const char* policy) {
+    const std::string& algorithm, const char* policy,
+    const support::telemetry::RoutingWork& work) {
   support::telemetry::SessionRecord draft;
   draft.arrival_slot = slot;
   draft.group.assign(group.begin(), group.end());
-  draft.algorithm = algorithm.empty() ? "prim-shared" : algorithm;
+  draft.algorithm = algorithm.empty() ? kSharedPrimAlgorithm : algorithm;
   draft.policy = policy;
+  draft.work = work;
   return draft;
 }
 
@@ -146,7 +148,7 @@ bool SessionService::validate_batch_combination(const std::string& algorithm,
       algorithm != "alg4") {
     if (error != nullptr) {
       *error =
-          "fair-share burst admission needs the batch-native kernel "
+          "fair-share batch admission needs the batch-native kernel "
           "(algorithm \"\" or \"alg4\"), not '" +
           algorithm + "'";
     }
@@ -311,149 +313,73 @@ net::EntanglementTree SessionService::admit(
   return tree;
 }
 
-void SessionService::admit_batch(SlotReport& report) {
-  const std::size_t burst = batch_groups_.size();
-  report.arrived = true;
-  report.arrivals += static_cast<std::uint32_t>(burst);
-  totals_.sessions_arrived += burst;
-  MUERP_COUNTER_ADD("session/arrived", burst);
-
-  batch_requests_.clear();
-  for (const std::vector<net::NodeId>& group : batch_groups_) {
-    batch_requests_.push_back({std::span<const net::NodeId>(group)});
-  }
-  routing::BatchOptions options;
-  options.policy = config_.batch_policy;
-  // Service semantics: a rejected session holds nothing (the same rollback
-  // admit() performs for the shared-Prim path).
-  options.release_on_failure = true;
-  if (config_.admit_us != nullptr) {
-    options.admit_us = &admit_us_scratch_;  // kernel clears it per call
-  }
-
-  const bool recording = config_.recorder != nullptr;
-  const auto work_before = recording
-                               ? support::telemetry::capture_routing_work()
-                               : support::telemetry::RoutingWork{};
-
-  routing::BatchResult result;
-  if (router_ == nullptr) {
-    result = batch_router_->route_shared(batch_requests_, options, *rng_,
-                                         capacity_);
-  } else {
-    routing::BatchRoutingRequest request;
-    request.network = network_;
-    request.groups = batch_requests_;
-    request.batch = options;
-    request.rng = rng_;
-    request.options = config_.router_options;
-    request.capacity = &capacity_;
-    request.residual_view = &*residual_view_;
-    result = router_->route_batch_trees(request);
-  }
-
-  // One routing call admits the whole burst, so every record of the batch
-  // carries the same batch-level work delta (documented on RoutingWork).
-  const auto batch_work =
-      recording ? support::telemetry::routing_work_delta(
-                      work_before, support::telemetry::capture_routing_work())
-                : support::telemetry::RoutingWork{};
-  if (config_.admit_us != nullptr) {
-    config_.admit_us->insert(config_.admit_us->end(), admit_us_scratch_.begin(),
-                             admit_us_scratch_.end());
-  }
-
-  // Per-session accounting in admission order, mirroring the single-arrival
-  // path field for field. A rejection is a CONTENTION loss when batch
-  // siblings were served this slot — the policy granted them the capacity
-  // this group was refused; with nothing served (or a batch of one) the
-  // residual network simply had no feasible tree.
-  const bool contended = batch_groups_.size() > 1 && result.groups_served > 0;
-  const char* policy_label = routing::batch_policy_name(config_.batch_policy);
-  for (routing::BatchGroupOutcome& outcome : result.outcomes) {
-    const std::vector<net::NodeId>& group =
-        batch_groups_[outcome.request_index];
-    const std::size_t size = group.size();
-    net::EntanglementTree& tree = outcome.tree;
-    if (tree.feasible) {
-      if (!report.admitted) {
-        report.admitted = true;
-        report.admitted_rate = tree.rate;
-      }
-      report.admitted_rate_sum += tree.rate;
-      ++report.admissions;
-      ++totals_.sessions_admitted;
-      MUERP_COUNTER_INC("session/admitted");
-      MUERP_HISTOGRAM_OBSERVE("session/admitted_rate_ppm", tree.rate * 1e6);
-      MUERP_LOG_RATE_LIMITED(log_bucket_, kInfo, "session/admitted",
-                             field("slot", slot_), field("group_size", size),
-                             field("rate", tree.rate),
-                             field("channels", tree.channels.size()),
-                             field("active", active_.size() + 1));
-      std::uint64_t record_id = 0;
-      if (recording) {
-        auto draft = make_record_draft(slot_, group, config_.algorithm,
-                                       policy_label);
-        draft.work = batch_work;
-        draft.tree_rate = tree.rate;
-        draft.tree_channels = static_cast<std::uint32_t>(tree.channels.size());
-        record_id = config_.recorder->open(std::move(draft));
-      }
-      auto touch = make_touch(tree);
-      if (config_.ledger != nullptr) {
-        config_.ledger->record_admit(touch, slot_);
-      }
-      active_.push_back(
-          {std::move(tree), slot_, size, record_id, std::move(touch)});
-    } else {
-      ++totals_.sessions_rejected;
-      const double utilization = qubit_utilization();
-      MUERP_COUNTER_INC("session/rejected");
-      MUERP_LOG_RATE_LIMITED(log_bucket_, kInfo, "session/rejected",
-                             field("slot", slot_), field("group_size", size),
-                             field("active", active_.size()),
-                             field("qubit_utilization", utilization));
-      if (utilization >= 0.9) {
-        MUERP_COUNTER_INC("session/switch_saturation");
-        MUERP_LOG_INFO("session/switch_saturation", field("slot", slot_),
-                       field("qubit_utilization", utilization),
-                       field("active", active_.size()));
-      }
-      const auto reason =
-          contended ? support::telemetry::RejectReason::kContentionLoss
-                    : support::telemetry::RejectReason::kNoFeasibleTree;
-      count_reject_reason(reason);
-      if (recording) {
-        auto draft = make_record_draft(slot_, group, config_.algorithm,
-                                       policy_label);
-        draft.work = batch_work;
-        draft.reject_reason = reason;
-        draft.saturated = utilization >= 0.9;
-        config_.recorder->reject(std::move(draft));
-      }
-      if (config_.ledger != nullptr) {
-        config_.ledger->record_reject(make_touch(tree), contended, slot_);
-      }
+routing::BatchResult SessionService::route_arrivals(bool* capacity_guard) {
+  if (config_.arrival_burst > 1 || config_.batch_single_arrivals) {
+    batch_requests_.clear();
+    for (const std::vector<net::NodeId>& group : arrival_groups_) {
+      batch_requests_.push_back({std::span<const net::NodeId>(group)});
     }
+    routing::BatchOptions options;
+    options.policy = config_.batch_policy;
+    // Service semantics: a rejected session holds nothing (the same rollback
+    // admit() performs for the shared-Prim path).
+    options.release_on_failure = true;
+    if (config_.admit_us != nullptr) {
+      options.admit_us = &admit_us_scratch_;  // kernel clears it per call
+    }
+    routing::BatchResult result;
+    if (router_ == nullptr) {
+      result = batch_router_->route_shared(batch_requests_, options, *rng_,
+                                           capacity_);
+    } else {
+      routing::BatchRoutingRequest request;
+      request.network = network_;
+      request.groups = batch_requests_;
+      request.batch = options;
+      request.rng = rng_;
+      request.options = config_.router_options;
+      request.capacity = &capacity_;
+      request.residual_view = &*residual_view_;
+      result = router_->route_batch_trees(request);
+    }
+    if (config_.admit_us != nullptr) {
+      config_.admit_us->insert(config_.admit_us->end(),
+                               admit_us_scratch_.begin(),
+                               admit_us_scratch_.end());
+    }
+    return result;
   }
+  // Cold intake: arrival_burst == 1 draws at most one group per slot.
+  assert(arrival_groups_.size() == 1);
+  const std::uint64_t admit_t0 = config_.admit_us != nullptr
+                                     ? support::telemetry::monotonic_now_ns()
+                                     : 0;
+  routing::BatchResult result;
+  result.outcomes.push_back(
+      {0, admit(arrival_groups_.front(), capacity_guard)});
+  if (config_.admit_us != nullptr) {
+    config_.admit_us->push_back(
+        static_cast<double>(support::telemetry::monotonic_now_ns() -
+                            admit_t0) /
+        1e3);
+  }
+  result.groups_served = result.outcomes.front().tree.feasible ? 1 : 0;
+  return result;
 }
 
 SlotReport SessionService::step() {
   SlotReport report;
   report.slot = ++slot_;
 
-  // 1. Arrivals: the central node routes against residual capacity. The
-  //    enabled check comes first so a draining service (arrivals off) skips
-  //    the draw; when enabled and arrival_burst <= 1 the Rng sequence is the
-  //    untouched historical one. Burst intake (arrival_burst > 1) draws its
-  //    whole burst up front and admits it as one batch — a new, documented
-  //    draw sequence. batch_single_arrivals routes a lone arrival through
-  //    the same batch path as a batch of one; with arrival_burst == 1 that
-  //    is STILL the historical draw sequence (bernoulli, size, members,
-  //    then the kernel's uniform_index seed — exactly what admit() drew).
-  if (arrivals_enabled_ &&
-      (config_.arrival_burst > 1 || config_.batch_single_arrivals)) {
-    batch_groups_.clear();
+  // 1. Arrivals: the central node routes against residual capacity, in
+  //    three stages — draw, route, account. The enabled check comes first
+  //    so a draining service (arrivals off) skips the draw. Each of the
+  //    arrival_burst attempts draws bernoulli, then size, then members;
+  //    with arrival_burst == 1 that is the untouched historical sequence.
+  //    Larger bursts draw every group before any routing happens — a
+  //    different, documented sequence.
+  arrival_groups_.clear();
+  if (arrivals_enabled_) {
     for (std::size_t a = 0; a < config_.arrival_burst; ++a) {
       if (!rng_->bernoulli(config_.params.arrival_prob_per_slot)) continue;
       const std::size_t size =
@@ -465,74 +391,79 @@ SlotReport SessionService::step() {
            rng_->sample_indices(network_->users().size(), size)) {
         group.push_back(network_->users()[idx]);
       }
-      batch_groups_.push_back(std::move(group));
+      arrival_groups_.push_back(std::move(group));
     }
-    if (!batch_groups_.empty()) admit_batch(report);
-  } else if (arrivals_enabled_ &&
-             rng_->bernoulli(config_.params.arrival_prob_per_slot)) {
+  }
+  if (!arrival_groups_.empty()) {
+    const std::size_t arrivals = arrival_groups_.size();
     report.arrived = true;
-    report.arrivals = 1;
-    ++totals_.sessions_arrived;
-    MUERP_COUNTER_INC("session/arrived");
-    const std::size_t size =
-        config_.params.min_group_size +
-        rng_->uniform_index(config_.params.max_group_size -
-                            config_.params.min_group_size + 1);
-    std::vector<net::NodeId> group;
-    for (std::size_t idx :
-         rng_->sample_indices(network_->users().size(), size)) {
-      group.push_back(network_->users()[idx]);
-    }
-    const std::uint64_t admit_t0 =
-        config_.admit_us != nullptr
-            ? support::telemetry::monotonic_now_ns()
-            : 0;
+    report.arrivals = static_cast<std::uint32_t>(arrivals);
+    totals_.sessions_arrived += arrivals;
+    MUERP_COUNTER_ADD("session/arrived", arrivals);
+
     const bool recording = config_.recorder != nullptr;
     const auto work_before = recording
                                  ? support::telemetry::capture_routing_work()
                                  : support::telemetry::RoutingWork{};
     bool capacity_guard = false;
-    auto tree = admit(group, &capacity_guard);
-    const auto admit_work =
-        recording
-            ? support::telemetry::routing_work_delta(
-                  work_before, support::telemetry::capture_routing_work())
-            : support::telemetry::RoutingWork{};
-    if (config_.admit_us != nullptr) {
-      config_.admit_us->push_back(
-          static_cast<double>(support::telemetry::monotonic_now_ns() -
-                              admit_t0) /
-          1e3);
-    }
-    if (tree.feasible) {
-      report.admitted = true;
-      report.admissions = 1;
-      report.admitted_rate = tree.rate;
-      report.admitted_rate_sum = tree.rate;
-      ++totals_.sessions_admitted;
-      MUERP_COUNTER_INC("session/admitted");
-      MUERP_HISTOGRAM_OBSERVE("session/admitted_rate_ppm", tree.rate * 1e6);
-      MUERP_LOG_RATE_LIMITED(log_bucket_, kInfo, "session/admitted",
-                             field("slot", slot_), field("group_size", size),
-                             field("rate", tree.rate),
-                             field("channels", tree.channels.size()),
-                             field("active", active_.size() + 1));
-      std::uint64_t record_id = 0;
-      if (recording) {
-        auto draft =
-            make_record_draft(slot_, group, config_.algorithm, "single");
-        draft.work = admit_work;
-        draft.tree_rate = tree.rate;
-        draft.tree_channels = static_cast<std::uint32_t>(tree.channels.size());
-        record_id = config_.recorder->open(std::move(draft));
+    routing::BatchResult result = route_arrivals(&capacity_guard);
+    // One routing call admits the whole burst, so every record of the batch
+    // carries the same batch-level work delta (documented on RoutingWork).
+    const auto work =
+        recording ? support::telemetry::routing_work_delta(
+                        work_before, support::telemetry::capture_routing_work())
+                  : support::telemetry::RoutingWork{};
+
+    // Per-session accounting in admission order. A rejection is a
+    // CONTENTION loss when batch siblings were served this slot — the
+    // policy granted them the capacity this group was refused; with nothing
+    // served (or a batch of one) the residual network simply had no
+    // feasible tree, unless the capacity guard refused a registry router's
+    // tree.
+    const bool contended = arrivals > 1 && result.groups_served > 0;
+    const char* policy_label =
+        config_.arrival_burst == 1
+            ? "single"
+            : routing::batch_policy_name(config_.batch_policy);
+    for (routing::BatchGroupOutcome& outcome : result.outcomes) {
+      const std::vector<net::NodeId>& group =
+          arrival_groups_[outcome.request_index];
+      const std::size_t size = group.size();
+      net::EntanglementTree& tree = outcome.tree;
+      auto draft = recording ? make_record_draft(slot_, group,
+                                                 config_.algorithm,
+                                                 policy_label, work)
+                             : support::telemetry::SessionRecord{};
+      if (tree.feasible) {
+        if (!report.admitted) {
+          report.admitted = true;
+          report.admitted_rate = tree.rate;
+        }
+        report.admitted_rate_sum += tree.rate;
+        ++report.admissions;
+        ++totals_.sessions_admitted;
+        MUERP_COUNTER_INC("session/admitted");
+        MUERP_HISTOGRAM_OBSERVE("session/admitted_rate_ppm", tree.rate * 1e6);
+        MUERP_LOG_RATE_LIMITED(log_bucket_, kInfo, "session/admitted",
+                               field("slot", slot_), field("group_size", size),
+                               field("rate", tree.rate),
+                               field("channels", tree.channels.size()),
+                               field("active", active_.size() + 1));
+        std::uint64_t record_id = 0;
+        if (recording) {
+          draft.tree_rate = tree.rate;
+          draft.tree_channels =
+              static_cast<std::uint32_t>(tree.channels.size());
+          record_id = config_.recorder->open(std::move(draft));
+        }
+        auto touch = make_touch(tree);
+        if (config_.ledger != nullptr) {
+          config_.ledger->record_admit(touch, slot_);
+        }
+        active_.push_back(
+            {std::move(tree), slot_, size, record_id, std::move(touch)});
+        continue;
       }
-      auto touch = make_touch(tree);
-      if (config_.ledger != nullptr) {
-        config_.ledger->record_admit(touch, slot_);
-      }
-      active_.push_back(
-          {std::move(tree), slot_, size, record_id, std::move(touch)});
-    } else {
       ++totals_.sessions_rejected;
       const double utilization = qubit_utilization();
       MUERP_COUNTER_INC("session/rejected");
@@ -548,20 +479,19 @@ SlotReport SessionService::step() {
                        field("qubit_utilization", utilization),
                        field("active", active_.size()));
       }
-      const auto reason =
-          capacity_guard ? support::telemetry::RejectReason::kCapacityGuard
-                         : support::telemetry::RejectReason::kNoFeasibleTree;
+      using support::telemetry::RejectReason;
+      const RejectReason reason =
+          capacity_guard ? RejectReason::kCapacityGuard
+          : contended    ? RejectReason::kContentionLoss
+                         : RejectReason::kNoFeasibleTree;
       count_reject_reason(reason);
       if (recording) {
-        auto draft =
-            make_record_draft(slot_, group, config_.algorithm, "single");
-        draft.work = admit_work;
         draft.reject_reason = reason;
         draft.saturated = utilization >= 0.9;
         config_.recorder->reject(std::move(draft));
       }
       if (config_.ledger != nullptr) {
-        config_.ledger->record_reject(make_touch(tree), false, slot_);
+        config_.ledger->record_reject(make_touch(tree), contended, slot_);
       }
     }
   }

@@ -56,26 +56,31 @@ struct SessionServiceConfig {
   /// SessionService::log_events_suppressed().
   double log_events_per_second = 0.0;
   /// Arrival attempts per slot. 1 (the default) keeps the historical loop
-  /// — one Bernoulli draw, one admit() — and its exact Rng sequence.
+  /// — one Bernoulli draw, one admission — and its exact Rng sequence.
   /// Larger values draw up to `arrival_burst` independent Bernoulli
   /// arrivals per slot and admit them as ONE batch through the routing
   /// kernel, amortizing CSR builds and residual-view syncs across the
   /// burst. This is a different (documented) Rng sequence: all arrival
-  /// groups are generated before any routing happens.
+  /// groups are generated before any routing happens. Flight records label
+  /// the intake "single" at 1 and with the batch-policy name otherwise.
   std::size_t arrival_burst = 1;
   /// Contention-resolution policy for burst admission (ignored when
   /// arrival_burst <= 1). kFairShare requires the batch-native kernel:
   /// empty `algorithm` or "alg4".
   routing::BatchPolicy batch_policy = routing::BatchPolicy::kGivenOrder;
   /// Routes single arrivals (arrival_burst <= 1) through the batch kernel as
-  /// a batch of one instead of the cold per-arrival prim_based_shared pass.
-  /// Admission decisions AND the Rng draw sequence are bit-identical to the
-  /// historical path (the kernel draws the same uniform_index seed before
-  /// routing, and route_one is bit-identical to prim_based_shared — tests
-  /// assert both); what changes is cost: the kernel's slot-major slabs and
-  /// pair fast path persist across slots, so steady-state admissions skip
-  /// the per-arrival Dijkstra rebuild. This is the lever the sharded
-  /// session plane uses for its per-lane throughput.
+  /// a batch of one instead of the cold per-arrival pass. With the built-in
+  /// shared-Prim admission (empty `algorithm`) admission decisions AND the
+  /// Rng draw sequence are bit-identical to the cold path (the kernel draws
+  /// the same uniform_index seed before routing, and route_one is
+  /// bit-identical to prim_based_shared — tests assert both); what changes
+  /// is cost: the kernel's slot-major slabs and pair fast path persist
+  /// across slots, so steady-state admissions skip the per-arrival Dijkstra
+  /// rebuild. This is the lever the sharded session plane uses for its
+  /// per-lane throughput. With a registry `algorithm` the flag routes
+  /// through Router::route_batch_trees, which skips the cold path's unused
+  /// seed draw — a different Rng sequence, so those runs diverge from the
+  /// cold path within a few slots.
   bool batch_single_arrivals = false;
   /// Optional admission-latency sink: when set, every routed arrival
   /// appends its admission wall time in microseconds (admitted or not, in
@@ -103,6 +108,11 @@ struct SessionServiceConfig {
   /// network this service routes on; must outlive the service.
   support::telemetry::LinkLedger* ledger = nullptr;
 };
+
+/// Name of the built-in shared-Prim admission pass (the empty
+/// SessionServiceConfig::algorithm) wherever a label is shown: flight
+/// records, muerpd's --algorithm flag, /healthz and `ctl get algorithm`.
+inline constexpr char kSharedPrimAlgorithm[] = "shared-prim";
 
 /// Per-edge channel capacities for a LinkLedger over `network`: the
 /// smallest channel_capacity() among an edge's switch endpoints, and 1 for
@@ -238,10 +248,11 @@ class SessionService {
   net::EntanglementTree admit(const std::vector<net::NodeId>& group,
                               bool* capacity_guard = nullptr);
 
-  /// Admits the burst staged in batch_groups_ as one batch: routes them
-  /// through the batch kernel against capacity_, then applies the same
-  /// per-session counters/logs admit() arrivals get, in admission order.
-  void admit_batch(SlotReport& report);
+  /// Routes this slot's arrival_groups_: as one batch through the warm
+  /// kernel when arrival_burst > 1 or batch_single_arrivals, else the lone
+  /// group through admit() (which may set `capacity_guard`). Feeds
+  /// config_.admit_us; outcomes come back in admission order.
+  routing::BatchResult route_arrivals(bool* capacity_guard);
 
   /// (Re)creates the residual view / batch kernel the current algorithm +
   /// intake mode needs — shared by the constructor and the runtime setters.
@@ -272,8 +283,8 @@ class SessionService {
   /// Persistent batch kernel for burst intake with the built-in shared-Prim
   /// admission (slab arrays survive across slots).
   std::optional<routing::BatchRouter> batch_router_;
-  /// Scratch: this slot's burst of arrival groups and their request views.
-  std::vector<std::vector<net::NodeId>> batch_groups_;
+  /// Scratch: this slot's arrival groups and their batch request views.
+  std::vector<std::vector<net::NodeId>> arrival_groups_;
   std::vector<routing::BatchRequest> batch_requests_;
   /// Scratch for per-route admission latencies (BatchOptions::admit_us is
   /// cleared per route call; config_.admit_us accumulates across slots).

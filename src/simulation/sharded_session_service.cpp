@@ -225,16 +225,22 @@ bool ShardedSessionService::arrivals_enabled() const noexcept {
   return lanes_.front()->service->arrivals_enabled();
 }
 
-// Forwarded setters validate against lane 0 first so a rejection mutates
-// nothing; lanes past 0 then apply a value lane 0 already accepted (every
-// lane shares one configuration, so acceptance is uniform).
-bool ShardedSessionService::set_arrival_prob(double prob,
-                                             std::string* error) {
-  if (!lanes_.front()->service->set_arrival_prob(prob, error)) return false;
+// Lanes past 0 need no error check: every lane shares one configuration,
+// so a value lane 0 accepted is accepted everywhere.
+template <typename Value>
+bool ShardedSessionService::set_all_lanes(
+    bool (SessionService::*setter)(Value, std::string*),
+    std::type_identity_t<Value> value, std::string* error) {
+  if (!(*lanes_.front()->service.*setter)(value, error)) return false;
   for (std::size_t l = 1; l < lanes_.size(); ++l) {
-    lanes_[l]->service->set_arrival_prob(prob);
+    (*lanes_[l]->service.*setter)(value, nullptr);
   }
   return true;
+}
+
+bool ShardedSessionService::set_arrival_prob(double prob,
+                                             std::string* error) {
+  return set_all_lanes(&SessionService::set_arrival_prob, prob, error);
 }
 
 double ShardedSessionService::arrival_prob() const noexcept {
@@ -243,12 +249,7 @@ double ShardedSessionService::arrival_prob() const noexcept {
 
 bool ShardedSessionService::set_arrival_burst(std::size_t burst,
                                               std::string* error) {
-  if (!lanes_.front()->service->set_arrival_burst(burst, error)) return false;
-  for (std::size_t l = 1; l < lanes_.size(); ++l) {
-    lanes_[l]->service->set_arrival_burst(burst);
-  }
-  config_.base.arrival_burst = burst;
-  return true;
+  return set_all_lanes(&SessionService::set_arrival_burst, burst, error);
 }
 
 std::size_t ShardedSessionService::arrival_burst() const noexcept {
@@ -257,12 +258,7 @@ std::size_t ShardedSessionService::arrival_burst() const noexcept {
 
 bool ShardedSessionService::set_batch_policy(routing::BatchPolicy policy,
                                              std::string* error) {
-  if (!lanes_.front()->service->set_batch_policy(policy, error)) return false;
-  for (std::size_t l = 1; l < lanes_.size(); ++l) {
-    lanes_[l]->service->set_batch_policy(policy);
-  }
-  config_.base.batch_policy = policy;
-  return true;
+  return set_all_lanes(&SessionService::set_batch_policy, policy, error);
 }
 
 routing::BatchPolicy ShardedSessionService::batch_policy() const noexcept {
@@ -271,12 +267,7 @@ routing::BatchPolicy ShardedSessionService::batch_policy() const noexcept {
 
 bool ShardedSessionService::set_algorithm(const std::string& algorithm,
                                           std::string* error) {
-  if (!lanes_.front()->service->set_algorithm(algorithm, error)) return false;
-  for (std::size_t l = 1; l < lanes_.size(); ++l) {
-    lanes_[l]->service->set_algorithm(algorithm);
-  }
-  config_.base.algorithm = algorithm;
-  return true;
+  return set_all_lanes(&SessionService::set_algorithm, algorithm, error);
 }
 
 const std::string& ShardedSessionService::algorithm() const noexcept {
@@ -285,15 +276,8 @@ const std::string& ShardedSessionService::algorithm() const noexcept {
 
 bool ShardedSessionService::set_log_events_per_second(double per_second,
                                                       std::string* error) {
-  if (!lanes_.front()->service->set_log_events_per_second(per_second,
-                                                          error)) {
-    return false;
-  }
-  for (std::size_t l = 1; l < lanes_.size(); ++l) {
-    lanes_[l]->service->set_log_events_per_second(per_second);
-  }
-  config_.base.log_events_per_second = per_second;
-  return true;
+  return set_all_lanes(&SessionService::set_log_events_per_second, per_second,
+                       error);
 }
 
 double ShardedSessionService::log_events_per_second() const noexcept {

@@ -41,6 +41,8 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "network/quantum_network.hpp"
@@ -240,6 +242,13 @@ class ShardedSessionService {
 
   /// Steps lane `lane` by `n` slots, filling lane_ticks_[lane].
   void step_lane(std::size_t lane, std::uint64_t n);
+
+  /// The all-or-nothing rule behind every runtime mutator: applies
+  /// `setter(value)` to lane 0 and, only if lane 0 accepted it, to the
+  /// other lanes.
+  template <typename Value>
+  bool set_all_lanes(bool (SessionService::*setter)(Value, std::string*),
+                     std::type_identity_t<Value> value, std::string* error);
 
   ShardedSessionServiceConfig config_;
   /// Base topology (outlives the service per the constructor contract);

@@ -126,7 +126,7 @@ struct SessionRecord {
   bool saturated = false;
   /// Requested user group (node ids, in draw order).
   std::vector<std::uint32_t> group;
-  /// Admission algorithm label ("prim-shared" for the built-in pass).
+  /// Admission algorithm label ("shared-prim" for the built-in pass).
   std::string algorithm;
   /// Intake path: "single" or the burst batch-policy name.
   std::string policy;

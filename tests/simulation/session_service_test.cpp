@@ -4,6 +4,8 @@
 
 #include <iostream>
 #include <limits>
+#include <map>
+#include <string>
 
 #include "experiment/scenario.hpp"
 #include "simulation/protocol.hpp"
@@ -359,12 +361,25 @@ TEST(SessionService, BatchSingleArrivalsBitIdenticalToHistoricalPath) {
   params.horizon_slots = 2000;
   params.arrival_prob_per_slot = 0.3;
 
+  // Keep-everything recorders: the flight records must match too, policy
+  // label included — the intake is "single" on both paths. Only `work`
+  // may differ: it counts the routing work each path performed (cold SPF
+  // runs vs warm-kernel Dijkstra runs and slab hits), which is the cost
+  // the warm path exists to change.
+  support::telemetry::SessionRecorderOptions keep_all;
+  keep_all.capacity = 4096;
+  keep_all.happy_keep_per_1024 = 1024;
+  support::telemetry::SessionRecorder historical_recorder(keep_all);
+  support::telemetry::SessionRecorder batched_recorder(keep_all);
+
   SessionServiceConfig historical{params, "", {}};
+  historical.recorder = &historical_recorder;
   support::Rng historical_rng(29);
   SessionService historical_service(net, historical, historical_rng);
 
   SessionServiceConfig batched{params, "", {}};
   batched.batch_single_arrivals = true;
+  batched.recorder = &batched_recorder;
   support::Rng batched_rng(29);
   SessionService batched_service(net, batched, batched_rng);
 
@@ -388,7 +403,84 @@ TEST(SessionService, BatchSingleArrivalsBitIdenticalToHistoricalPath) {
   EXPECT_EQ(actual.sessions_completed, expected.sessions_completed);
   EXPECT_EQ(actual.mean_completion_slots, expected.mean_completion_slots);
   EXPECT_EQ(actual.mean_qubit_utilization, expected.mean_qubit_utilization);
+
+  auto a = historical_recorder.records();
+  auto b = batched_recorder.records();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    a[i].work = b[i].work = {};
+    ASSERT_EQ(a[i], b[i]) << "record " << i << ": policy " << a[i].policy
+                          << " vs " << b[i].policy << ", algorithm "
+                          << a[i].algorithm << " vs " << b[i].algorithm;
+  }
 }
+
+#if MUERP_TELEMETRY_ENABLED
+TEST(SessionService, RejectReasonsFollowTheAdmissionPath) {
+  // Each admission path names its own refusals, and every rejection gets
+  // exactly one reason: per-reason record counts sum to sessions_rejected.
+  using support::telemetry::RejectReason;
+  struct Case {
+    const char* algorithm;
+    std::size_t arrival_burst;
+    RejectReason expected;  // must occur
+    bool only_expected;     // ... and be the only reason seen
+  };
+  const Case cases[] = {
+      // Alg-2 pinned to its sufficient condition routes as if every switch
+      // had 2|U| qubits — capacity-oblivious, so the admission guard
+      // refuses its trees.
+      {"alg2", 1, RejectReason::kCapacityGuard, false},
+      // Saturated bursts refuse groups whose siblings took the capacity.
+      {"", 4, RejectReason::kContentionLoss, false},
+      // Shared-Prim single intake never contends and has no guard.
+      {"", 1, RejectReason::kNoFeasibleTree, true},
+  };
+  // A starved fabric (3 qubits per switch, weak swaps, short timeout)
+  // keeps enough qubits pledged for admission to refuse groups.
+  experiment::Scenario scenario;
+  scenario.switch_count = 30;
+  scenario.user_count = 8;
+  scenario.qubits_per_switch = 3;
+  scenario.swap_success = 0.5;
+  scenario.seed = 11;
+  const auto net = experiment::instantiate(scenario, 0).network;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.algorithm) + " burst " +
+                 std::to_string(c.arrival_burst));
+    support::telemetry::SessionRecorderOptions options;
+    options.capacity = std::size_t{1} << 16;  // retain every rejection
+    support::telemetry::SessionRecorder recorder(options);
+    SessionServiceConfig config;
+    config.params.arrival_prob_per_slot = 0.5;
+    config.params.session_timeout_slots = 50;
+    config.algorithm = c.algorithm;
+    config.router_options.pin_alg2_sufficient = true;
+    config.arrival_burst = c.arrival_burst;
+    config.recorder = &recorder;
+    support::Rng rng(9);
+    SessionService service(net, config, rng);
+    const ProtocolMetrics m = run_stepped(service, 1500);
+
+    support::telemetry::SessionFilter rejected;
+    rejected.state = support::telemetry::SessionState::kRejected;
+    std::map<RejectReason, std::uint64_t> by_reason;
+    for (const auto& record : recorder.records(rejected)) {
+      ++by_reason[record.reject_reason];
+    }
+    std::uint64_t total = 0;
+    for (const auto& [reason, count] : by_reason) {
+      EXPECT_NE(reason, RejectReason::kNone);
+      if (c.only_expected) {
+        EXPECT_EQ(reason, c.expected);
+      }
+      total += count;
+    }
+    EXPECT_GT(by_reason[c.expected], 0u);
+    EXPECT_EQ(total, m.sessions_rejected);
+  }
+}
+#endif  // MUERP_TELEMETRY_ENABLED
 
 TEST(SessionService, AdmittedRateSumSeesEveryAdmissionInABurst) {
   const auto net = service_network();

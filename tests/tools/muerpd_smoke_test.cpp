@@ -601,6 +601,13 @@ TEST(MuerpdSmoke, FlightRecorderAndAlertsServeTheTail) {
             std::string::npos);
   EXPECT_NE(http_get(port, "/api/v1/sessions?state=bogus").find("400"),
             std::string::npos);
+  // Records name the built-in pass exactly as --algorithm and /healthz do.
+  const auto by_alg = muerp::support::json::parse(
+      body_of(http_get(port, "/api/v1/sessions?alg=shared-prim&limit=3")));
+  ASSERT_TRUE(by_alg.ok()) << by_alg.error;
+  ASSERT_FALSE(by_alg.value["sessions"].elements.empty());
+  EXPECT_EQ(by_alg.value["sessions"].elements.back()["algorithm"].string_value,
+            "shared-prim");
 
   // The default rejection-ratio rule is live against the rejected traffic
   // (this mixed workload rejects ~13% of arrivals — real but sub-threshold).
@@ -1044,18 +1051,31 @@ TEST(MuerpdSmoke, HistoryLifetimeCarriesRejectionOnlyTraffic) {
   std::remove(history_path.c_str());
 }
 
-TEST(MuerpdSmoke, RejectsUnknownAlgorithm) {
+/// Runs muerpd with `flags` to completion and returns its wait status.
+int run_muerpd(const std::string& flags) {
   const std::string command =
-      std::string(MUERPD_BINARY) +
-      " --port 0 --slots 1 --algorithm no-such-router 2>/dev/null";
+      std::string(MUERPD_BINARY) + " " + flags + " 2>/dev/null";
   FILE* pipe = ::popen(command.c_str(), "r");
-  ASSERT_NE(pipe, nullptr);
+  if (pipe == nullptr) return -1;
   char line[256];
   while (std::fgets(line, sizeof line, pipe) != nullptr) {
   }
-  const int status = ::pclose(pipe);
+  return ::pclose(pipe);
+}
+
+TEST(MuerpdSmoke, RejectsUnknownAlgorithm) {
+  int status = run_muerpd("--port 0 --slots 1 --algorithm no-such-router");
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_NE(WEXITSTATUS(status), 0);
+
+  // A combination the service refuses (fair-share needs the batch-native
+  // kernel, and --batch-single routes through it) is a flag error, not an
+  // uncaught exception.
+  status = run_muerpd(
+      "--port 0 --slots 1 --batch-single true --batch-policy fair-share "
+      "--algorithm alg3");
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 2);
 }
 
 }  // namespace

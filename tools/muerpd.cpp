@@ -98,6 +98,7 @@
 #include <fstream>
 #include <iostream>
 #include <mutex>
+#include <stdexcept>
 
 #include "muerp.hpp"
 
@@ -115,15 +116,6 @@ void handle_stop(int) { g_stop = g_stop + 1; }
 int fail(const std::string& message) {
   std::cerr << "muerpd: " << message << '\n';
   return 1;
-}
-
-std::string known_algorithms() {
-  std::string known;
-  for (const std::string& name : routing::RouterRegistry::instance().names()) {
-    if (!known.empty()) known += '|';
-    known += name;
-  }
-  return known;
 }
 
 /// Slot-loop lifecycle, readable by the acceptor thread for /healthz.
@@ -437,12 +429,7 @@ int main(int argc, char** argv) {
 
   sim::SessionServiceConfig config;
   config.algorithm = cli.get_string("algorithm");
-  if (config.algorithm == "shared-prim") config.algorithm.clear();
-  if (!config.algorithm.empty() &&
-      !routing::RouterRegistry::instance().contains(config.algorithm)) {
-    return fail("unknown --algorithm '" + config.algorithm +
-                "' (shared-prim|" + known_algorithms() + ")");
-  }
+  if (config.algorithm == sim::kSharedPrimAlgorithm) config.algorithm.clear();
   // Registry admission routes on a residual-capacity copy; Algorithm 2's
   // sufficient-condition boost would fake qubits the service doesn't have.
   config.router_options.pin_alg2_sufficient = false;
@@ -468,12 +455,6 @@ int main(int argc, char** argv) {
     return fail("unknown --batch-policy '" + cli.get_string("batch-policy") +
                 "' (given-order|smallest-first|largest-first|greedy|"
                 "fair-share)");
-  }
-  if (config.arrival_burst > 1 &&
-      config.batch_policy == routing::BatchPolicy::kFairShare &&
-      !config.algorithm.empty() && config.algorithm != "alg4") {
-    return fail("--batch-policy fair-share needs --algorithm shared-prim or "
-                "alg4 (batch-native kernel)");
   }
   config.batch_single_arrivals = cli.get_bool("batch-single");
   const auto lanes = cli.get_int("lanes").value_or(1);
@@ -518,9 +499,24 @@ int main(int argc, char** argv) {
   sharded_config.ledger_window_slots = static_cast<std::uint64_t>(link_window);
   sharded_config.ledger_event_capacity =
       static_cast<std::size_t>(link_events);
-  sim::ShardedSessionService service(
-      *network, sharded_config,
-      static_cast<std::uint64_t>(cli.get_int("seed").value_or(1)));
+  // The service validates what the flags alone cannot: the registry throws
+  // std::out_of_range for an unknown --algorithm, and the constructor
+  // std::invalid_argument for a refused combination (fair-share with a
+  // non-batch-native kernel). Both are flag errors, not crashes.
+  std::optional<sim::ShardedSessionService> sharded_service;
+  try {
+    sharded_service.emplace(
+        *network, sharded_config,
+        static_cast<std::uint64_t>(cli.get_int("seed").value_or(1)));
+  } catch (const std::out_of_range& error) {
+    std::cerr << "muerpd: --algorithm: " << error.what() << ", or "
+              << sim::kSharedPrimAlgorithm << " for the built-in pass\n";
+    return 2;
+  } catch (const std::invalid_argument& error) {
+    std::cerr << "muerpd: bad flag combination: " << error.what() << '\n';
+    return 2;
+  }
+  sim::ShardedSessionService& service = *sharded_service;
 
   // Durable session history: replay previous runs (truncating any torn
   // tail), then mark this run's start.
@@ -622,8 +618,9 @@ int main(int argc, char** argv) {
     const sim::ProtocolMetrics m = service.metrics();
     {
       const std::lock_guard<std::mutex> lock(health.algorithm_mutex);
-      health.algorithm =
-          service.algorithm().empty() ? "shared-prim" : service.algorithm();
+      health.algorithm = service.algorithm().empty()
+                             ? sim::kSharedPrimAlgorithm
+                             : service.algorithm();
     }
     health.slot.store(service.slot(), std::memory_order_relaxed);
     health.active.store(service.active_sessions(), std::memory_order_relaxed);
@@ -636,7 +633,7 @@ int main(int argc, char** argv) {
   // names the per-algorithm instrument families, which keep their
   // boot-time name (a counter cannot be renamed mid-flight).
   const std::string algorithm_label =
-      config.algorithm.empty() ? "shared-prim" : config.algorithm;
+      config.algorithm.empty() ? sim::kSharedPrimAlgorithm : config.algorithm;
   exporter.set_health_fields([&health, &run_state, &alerts_firing, lanes,
                               shards](std::string& body) {
     body += ", \"state\": \"";
@@ -743,7 +740,7 @@ int main(int argc, char** argv) {
       {"algorithm", "admission router (shared-prim or a registry name)",
        [&service] {
          return json::quote(service.algorithm().empty()
-                                ? "shared-prim"
+                                ? sim::kSharedPrimAlgorithm
                                 : service.algorithm());
        },
        [&service](const support::json::Value& value) {
@@ -752,13 +749,13 @@ int main(int argc, char** argv) {
                                               "algorithm must be a string");
          }
          std::string name = value.string_value;
-         if (name == "shared-prim") name.clear();
+         if (name == sim::kSharedPrimAlgorithm) name.clear();
          std::string error;
          if (!service.set_algorithm(name, &error)) {
            return ctl::CommandResult::failure(ctl::kErrOutOfRange, error);
          }
          return ctl::CommandResult::success(
-             json::quote(name.empty() ? "shared-prim" : name));
+             json::quote(name.empty() ? sim::kSharedPrimAlgorithm : name));
        }});
   settings.push_back(
       {"arrival-burst", "arrival attempts per slot (>= 1)",
@@ -1540,8 +1537,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const std::string final_label =
-      service.algorithm().empty() ? "shared-prim" : service.algorithm();
+  const std::string final_label = service.algorithm().empty()
+                                      ? sim::kSharedPrimAlgorithm
+                                      : service.algorithm();
   support::Table summary("muerpd session service (" + final_label + ")",
                          {"metric", "value"});
   summary.add_row("slots played", {static_cast<double>(service.slot())});
