@@ -12,7 +12,8 @@
 // bit-identical, and the wall-clock times + routing perf counters are written
 // to BENCH_routing.json (or the given path). The same mode also times the
 // seed's lazy-heap Dijkstra against the SPF kernel call for call on those
-// instances and verifies the two produce identical trees.
+// instances and on 20 session-daemon-sized networks (100 switches, 128
+// users), and verifies the two produce identical trees.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -22,6 +23,7 @@
 #include <iostream>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "baselines/eqcast.hpp"
@@ -377,15 +379,34 @@ int run_compare(const std::string& output_path) {
   tel::Snapshot tel_delta = tel::capture_process();
   tel_delta.subtract(tel_before);
 
+  // The kernel arm runs twice: on the §V-A instances above, and on the
+  // networks the session daemon routes on (muerpd's generated defaults:
+  // 100 switches + 128 users = 228 nodes), where per-pop frontier cost
+  // dominates and a §V-A-only gate could not see a regression.
+  experiment::Scenario session_scenario;
+  session_scenario.switch_count = 100;
+  session_scenario.user_count = 128;
+  session_scenario.qubits_per_switch = 128;
+  session_scenario.attenuation = 2e-5;
+  std::vector<experiment::Instance> session_instances;
+  session_instances.reserve(session_scenario.repetitions);
+  for (std::size_t rep = 0; rep < session_scenario.repetitions; ++rep) {
+    session_instances.push_back(experiment::instantiate(session_scenario, rep));
+  }
   const KernelCompare kernel = compare_kernel(instances);
-  all_identical = all_identical && kernel.identical;
+  const KernelCompare kernel_session = compare_kernel(session_instances);
+  all_identical = all_identical && kernel.identical && kernel_session.identical;
   std::printf(
       "\nSPF kernel vs seed Dijkstra — same instances, every user source\n");
-  std::printf("%-22s %12s\n", "implementation", "us per call");
-  std::printf("%-22s %12.3f\n", "seed lazy-heap", kernel.legacy_us);
-  std::printf("%-22s %12.3f   (%.2fx, identical: %s)\n", "spf kernel",
-              kernel.kernel_us, kernel.speedup(),
-              kernel.identical ? "yes" : "NO");
+  std::printf("%-8s %-16s %12s\n", "networks", "implementation",
+              "us per call");
+  for (const auto& [label, k] :
+       {std::pair{"V-A", &kernel}, std::pair{"session", &kernel_session}}) {
+    std::printf("%-8s %-16s %12.3f\n", label, "seed lazy-heap", k->legacy_us);
+    std::printf("%-8s %-16s %12.3f   (%.2fx, identical: %s)\n", label,
+                "spf kernel", k->kernel_us, k->speedup(),
+                k->identical ? "yes" : "NO");
+  }
 
   if (!tel_delta.empty()) {
     std::cout << '\n'
@@ -431,7 +452,14 @@ int run_compare(const std::string& output_path) {
   out << "  \"spf_kernel\": {\"legacy_us_per_call\": " << kernel.legacy_us
       << ", \"kernel_us_per_call\": " << kernel.kernel_us
       << ", \"speedup\": " << kernel.speedup() << ", \"identical\": "
-      << (kernel.identical ? "true" : "false") << "}\n}\n";
+      << (kernel.identical ? "true" : "false") << "},\n";
+  out << "  \"spf_kernel_session\": {\"switches\": "
+      << session_scenario.switch_count
+      << ", \"users\": " << session_scenario.user_count
+      << ", \"legacy_us_per_call\": " << kernel_session.legacy_us
+      << ", \"kernel_us_per_call\": " << kernel_session.kernel_us
+      << ", \"speedup\": " << kernel_session.speedup() << ", \"identical\": "
+      << (kernel_session.identical ? "true" : "false") << "}\n}\n";
   std::printf("wrote %s\n", output_path.c_str());
 
   if (!all_identical) {

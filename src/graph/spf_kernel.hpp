@@ -36,16 +36,14 @@
 // run() for tests and cold paths; hot paths instantiate run() directly.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
 #include <utility>
 #include <vector>
-
-#if defined(__SSE2__)
-#include <emmintrin.h>
-#endif
 
 #include "graph/graph.hpp"
 #include "support/telemetry/telemetry.hpp"
@@ -196,93 +194,6 @@ class SpfWorkspace {
     heap_push(source);
   }
 
-  // --- scan-mode frontier (used by run() on small graphs) ---
-  //
-  // On graphs of up to a few hundred nodes run() replaces the heap with a
-  // linear minimum scan over a dense key array: keys are the tentative
-  // distance for open nodes and +infinity for untouched/settled ones, so
-  // selecting the next node is a pure min-reduction over doubles. The scan
-  // loops run a fixed trip count (the node count), so unlike heap sifts —
-  // or a compact variable-length frontier, which benchmarked worse — they
-  // leave no data-dependent branch history behind when the workload cycles
-  // through many distinct graphs. Scanning ascending ids with a strict `<`
-  // keeps the first (lowest-id) node among distance ties: exactly the
-  // heap's (distance, id) order, so both frontiers settle in the same
-  // sequence bit for bit.
-
-  /// Resets the scan keys for the current query. Call after begin().
-  void scan_begin() {
-    if (node_count_ > scan_key_.size()) {
-      scan_key_.resize(node_count_);
-    }
-    std::fill_n(scan_key_.begin(), node_count_, kUnreachable);
-  }
-
-  /// seed() for scan mode: no heap push, just the key.
-  void seed_scan(NodeId source) {
-    assert(source < node_count_);
-    touch(source, 0.0, kInvalidEdge);
-    scan_key_[source] = 0.0;
-  }
-
-  /// relax() for scan mode: improvements update the key in place.
-  void relax_scan(NodeId to, EdgeId via, double candidate) {
-    if (candidate == kUnreachable) return;
-    if (!reached(to)) {
-      touch(to, candidate, via);
-      scan_key_[to] = candidate;
-      return;
-    }
-    if (candidate < dist_[to]) {
-      assert(heap_pos_[to] != kSettled &&
-             "non-negative weights never improve a settled node");
-      dist_[to] = candidate;
-      parent_[to] = via;
-      scan_key_[to] = candidate;
-    }
-  }
-
-  /// Settles and returns the open node with minimal (distance, id), or
-  /// kInvalidNode when the frontier is empty. Two passes, both SIMD where
-  /// SSE2 is available (always on x86-64): a packed min-reduction for the
-  /// minimum value, then find-first of that value — the lowest id among
-  /// distance ties, matching the heap order. Keys are never NaN (weights
-  /// are asserted non-negative), so min_pd's NaN caveats don't apply.
-  NodeId scan_pop_min() {
-    const double* keys = scan_key_.data();
-    const std::size_t n = node_count_;
-    std::size_t v = 0;
-    double best = kUnreachable;
-#if defined(__SSE2__)
-    __m128d m0 = _mm_set1_pd(kUnreachable);
-    __m128d m1 = m0;
-    for (; v + 4 <= n; v += 4) {
-      m0 = _mm_min_pd(m0, _mm_loadu_pd(keys + v));
-      m1 = _mm_min_pd(m1, _mm_loadu_pd(keys + v + 2));
-    }
-    const __m128d m = _mm_min_pd(m0, m1);
-    best = _mm_cvtsd_f64(_mm_min_sd(m, _mm_unpackhi_pd(m, m)));
-#endif
-    for (; v < n; ++v) best = keys[v] < best ? keys[v] : best;
-    if (best == kUnreachable) return kInvalidNode;
-    std::size_t i = 0;
-#if defined(__SSE2__)
-    const __m128d needle = _mm_set1_pd(best);
-    for (; i + 2 <= n; i += 2) {
-      const int mask =
-          _mm_movemask_pd(_mm_cmpeq_pd(_mm_loadu_pd(keys + i), needle));
-      if (mask != 0) {
-        i += (mask & 1) ? 0 : 1;
-        break;
-      }
-    }
-#endif
-    while (keys[i] != best) ++i;
-    scan_key_[i] = kUnreachable;
-    heap_pos_[i] = kSettled;
-    return static_cast<NodeId>(i);
-  }
-
   /// Relaxes arc (`from` already settled) -> `to` with total `candidate`:
   /// adopts it iff it strictly improves, pushing or decreasing `to`'s heap
   /// key. Strict improvement reproduces the legacy loop's first-wins tie
@@ -302,6 +213,7 @@ class SpfWorkspace {
              "non-negative weights never improve a settled node");
       dist_[to] = candidate;
       parent_[to] = via;
+      heap_[heap_pos_[to]] = heap_key(candidate, to);
       sift_up(heap_pos_[to]);
     }
   }
@@ -311,13 +223,12 @@ class SpfWorkspace {
   /// Pops the node with minimal (distance, id) and marks it settled.
   NodeId heap_pop_min() {
     assert(!heap_.empty());
-    const NodeId top = heap_.front();
+    const NodeId top = key_node(heap_.front());
     heap_pos_[top] = kSettled;
-    const NodeId last = heap_.back();
+    const HeapKey last = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) {
       heap_[0] = last;
-      heap_pos_[last] = 0;
       sift_down(0);
     }
     return top;
@@ -344,119 +255,111 @@ class SpfWorkspace {
 
   /// Heap order: (distance, node id) ascending — the exact order the legacy
   /// loop's std::priority_queue of (distance, node) pairs popped in, which
-  /// is what keeps migrated callers bit-identical on distance ties.
-  bool heap_less(NodeId a, NodeId b) const noexcept {
-    if (dist_[a] != dist_[b]) return dist_[a] < dist_[b];
-    return a < b;
+  /// is what keeps migrated callers bit-identical on distance ties. Each
+  /// entry is its own sort key: the distance's IEEE bits (monotone as an
+  /// unsigned integer over the non-negative, never-NaN distances the kernel
+  /// holds) above the node id, so comparing two entries is one 128-bit
+  /// integer compare — no load through dist_, no branch on distance ties.
+  __extension__ typedef unsigned __int128 HeapKey;
+
+  static HeapKey heap_key(double dist, NodeId v) noexcept {
+    return (HeapKey{std::bit_cast<std::uint64_t>(dist)} << 32) | v;
+  }
+  static NodeId key_node(HeapKey key) noexcept {
+    return static_cast<NodeId>(key);
   }
 
   void heap_push(NodeId v) {
-    heap_.push_back(v);
-    heap_pos_[v] = static_cast<std::uint32_t>(heap_.size() - 1);
-    sift_up(heap_pos_[v]);
+    heap_.push_back(heap_key(dist_[v], v));
+    sift_up(static_cast<std::uint32_t>(heap_.size() - 1));
   }
 
   void sift_up(std::uint32_t pos) {
-    const NodeId moving = heap_[pos];
+    const HeapKey moving = heap_[pos];
     while (pos > 0) {
       const std::uint32_t parent = (pos - 1) / 4;
-      if (!heap_less(moving, heap_[parent])) break;
+      if (!(moving < heap_[parent])) break;
       heap_[pos] = heap_[parent];
-      heap_pos_[heap_[pos]] = pos;
+      heap_pos_[key_node(heap_[pos])] = pos;
       pos = parent;
     }
     heap_[pos] = moving;
-    heap_pos_[moving] = pos;
+    heap_pos_[key_node(moving)] = pos;
   }
 
   void sift_down(std::uint32_t pos) {
-    const NodeId moving = heap_[pos];
+    const HeapKey moving = heap_[pos];
     const std::uint32_t size = static_cast<std::uint32_t>(heap_.size());
     for (;;) {
       const std::uint32_t first_child = 4 * pos + 1;
       if (first_child >= size) break;
-      const std::uint32_t last_child = std::min(first_child + 4, size);
       std::uint32_t best = first_child;
-      for (std::uint32_t c = first_child + 1; c < last_child; ++c) {
-        if (heap_less(heap_[c], heap_[best])) best = c;
+      if (first_child + 4 <= size) {
+        // A full group of children: a tournament on indices, which compiles
+        // to flag sets and conditional moves, so choosing the child costs no
+        // mispredicted jumps.
+        const HeapKey* child = heap_.data() + first_child;
+        const std::uint32_t left = child[1] < child[0] ? 1u : 0u;
+        const std::uint32_t right = child[3] < child[2] ? 3u : 2u;
+        best += child[right] < child[left] ? right : left;
+      } else {
+        for (std::uint32_t c = first_child + 1; c < size; ++c) {
+          best = heap_[c] < heap_[best] ? c : best;
+        }
       }
-      if (!heap_less(heap_[best], moving)) break;
+      if (!(heap_[best] < moving)) break;
       heap_[pos] = heap_[best];
-      heap_pos_[heap_[pos]] = pos;
+      heap_pos_[key_node(heap_[pos])] = pos;
       pos = best;
     }
     heap_[pos] = moving;
-    heap_pos_[moving] = pos;
+    heap_pos_[key_node(moving)] = pos;
   }
 
   std::vector<double> dist_;
   std::vector<EdgeId> parent_;
   std::vector<std::uint32_t> stamp_;
   std::vector<std::uint32_t> heap_pos_;
-  std::vector<NodeId> heap_;
-  std::vector<double> scan_key_;  // scan-mode frontier keys (lazily sized)
+  std::vector<HeapKey> heap_;
   std::size_t node_count_ = 0;
   std::uint32_t generation_ = 0;
 };
 
-/// Up to this node count run() selects the frontier by linear min-scan
-/// instead of the indexed heap. O(n) per settle is at worst comparable to
-/// the heap on such sizes, and the scan's branches stay predictable when
-/// the workload cycles through many distinct graphs (see SpfWorkspace's
-/// scan-mode comment). Both frontiers settle in the same order, so the
-/// threshold is unobservable in results — it is purely a speed knob, and
-/// mutable so tests (and benchmarks) can force either path on one graph.
-inline constexpr std::size_t kScanFrontierMaxNodes = 256;
+/// run()'s default stop predicate: never stop, drain the frontier.
+struct NeverStop {
+  constexpr bool operator()(NodeId) const noexcept { return false; }
+};
 
-inline std::size_t& scan_frontier_max_nodes() noexcept {
-  static std::size_t limit = kScanFrontierMaxNodes;
-  return limit;
-}
+/// Stop predicate for a single destination: stop once `target` settles.
+struct StopAt {
+  NodeId target;
+  constexpr bool operator()(NodeId v) const noexcept { return v == target; }
+};
 
 /// The one Dijkstra. `weight(slot)` maps a CSR arc slot to its non-negative
 /// cost (+infinity excludes the arc); `allow_expand(v)` gates relaxation
 /// out of a non-source vertex — a vertex failing it can still be reached as
-/// a path endpoint (the quantum-channel rule of paper Def. 2). When
-/// `settle_target` is a valid node the search stops as soon as that node
-/// settles: its distance and path are final, and with strictly positive
-/// weights no consumer of a single destination can observe the difference.
-/// `pop_counter`, when non-null, accumulates settled nodes (the routing
-/// layer's hook into its own named counters; the plain pointer keeps the
-/// inner loop free of atomics).
-template <typename WeightFn, typename AllowExpandFn>
-void run(const Csr& csr, SpfWorkspace& workspace, NodeId source,
+/// a path endpoint (the quantum-channel rule of paper Def. 2). `stop(v)` is
+/// asked once per settled node, before it is expanded; returning true
+/// abandons the frontier. Everything settled by then — the stopping node
+/// included — carries its final distance and parent, bit-identical to a
+/// run to exhaustion, because the settle order does not depend on where
+/// the run ends. `pop_counter`, when non-null, accumulates settled nodes
+/// (the routing layer's hook into its own named counters; the plain
+/// pointer keeps the inner loop free of atomics). Returns true when the
+/// frontier drained, false when `stop` ended the run early.
+template <typename WeightFn, typename AllowExpandFn,
+          typename StopFn = NeverStop>
+bool run(const Csr& csr, SpfWorkspace& workspace, NodeId source,
          WeightFn&& weight, AllowExpandFn&& allow_expand,
-         NodeId settle_target = kInvalidNode,
-         std::uint64_t* pop_counter = nullptr) {
-  const std::size_t n = csr.node_count();
-  workspace.begin(n);
-  if (n <= scan_frontier_max_nodes()) {
-    MUERP_COUNTER_INC("spf/scan_runs");
-    workspace.scan_begin();
-    workspace.seed_scan(source);
-    for (;;) {
-      const NodeId v = workspace.scan_pop_min();
-      if (v == kInvalidNode) break;
-      if (pop_counter != nullptr) ++*pop_counter;
-      if (v == settle_target) break;
-      if (v != source && !allow_expand(v)) continue;
-      const double base = workspace.dist_unchecked(v);
-      const std::size_t end = csr.offsets[v + 1];
-      for (std::size_t slot = csr.offsets[v]; slot < end; ++slot) {
-        const double w = weight(slot);
-        assert(w >= 0.0 && "SPF kernel requires non-negative weights");
-        const Arc& arc = csr.arcs[slot];
-        workspace.relax_scan(arc.target, arc.edge, base + w);
-      }
-    }
-    return;
-  }
-  MUERP_COUNTER_INC("spf/heap_runs");
+         StopFn&& stop = StopFn{}, std::uint64_t* pop_counter = nullptr) {
+  MUERP_COUNTER_INC("spf/runs");
+  workspace.begin(csr.node_count());
   workspace.seed(source);
   while (!workspace.heap_empty()) {
     const NodeId v = workspace.heap_pop_min();
     if (pop_counter != nullptr) ++*pop_counter;
-    if (v == settle_target) break;
+    if (stop(v)) return false;
     if (v != source && !allow_expand(v)) continue;
     const double base = workspace.dist_unchecked(v);
     const std::size_t end = csr.offsets[v + 1];
@@ -467,6 +370,7 @@ void run(const Csr& csr, SpfWorkspace& workspace, NodeId source,
       workspace.relax(arc.target, arc.edge, base + w);
     }
   }
+  return true;
 }
 
 /// Per-thread kernel context: a small ring of CSR views keyed to the

@@ -38,7 +38,7 @@ std::optional<net::Channel> banned_edge_dijkstra(
       [&](net::NodeId v) {
         return network.is_switch(v) && capacity.free_qubits(v) >= 2;
       },
-      destination);
+      graph::spf::StopAt{destination});
   const graph::spf::SpfWorkspace& ws = ctx.workspace;
   if (ws.dist(destination) == kInf) return std::nullopt;
   net::Channel channel;

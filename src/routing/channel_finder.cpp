@@ -38,7 +38,7 @@ void ChannelFinder::run_dijkstra(net::NodeId source,
   // bit-identical to the seed loop's per-edge computation). The expansion
   // gate is Def. 2 + Algorithm 1 Line 11: only the source user and switches
   // with >= 2 free qubits relay; other users are reachable endpoints. Trees
-  // are always run to exhaustion (no settle_target): the cached finder's
+  // are always run to exhaustion (no stop predicate): the cached finder's
   // invalidation contract reads switch reachability across the whole tree.
   const graph::spf::Csr& csr = ctx.affine_csr_for(
       network_->graph(), network_->physical().attenuation, -log_swap_);
@@ -49,7 +49,7 @@ void ChannelFinder::run_dijkstra(net::NodeId source,
       [&](net::NodeId v) {
         return network_->is_switch(v) && capacity.free_qubits(v) >= 2;
       },
-      graph::kInvalidNode, &pops);
+      graph::spf::NeverStop{}, &pops);
   kHeapPops.add(pops);
   ctx.workspace.extract(dist, parent);
 }

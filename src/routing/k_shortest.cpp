@@ -62,7 +62,7 @@ std::optional<WeightedPath> restricted_dijkstra(
       [&](net::NodeId v) {
         return network.is_switch(v) && capacity.free_qubits(v) >= 2;
       },
-      target, &pops);
+      graph::spf::StopAt{target}, &pops);
   kHeapPops.add(pops);
   const graph::spf::SpfWorkspace& ws = ctx.workspace;
   if (ws.dist(target) == kInf) return std::nullopt;

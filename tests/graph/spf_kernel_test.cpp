@@ -1,7 +1,9 @@
 // SPF kernel tests: CSR equivalence against the adjacency list, workspace
 // reuse (including the generation-counter wrap), heap ordering under
-// decrease-key, scan-vs-heap frontier bit-identity, and the §V-A regression
-// that pins the kernel to the seed's lazy-heap Dijkstra bit for bit.
+// decrease-key, the stop predicate's settled prefix, and the regressions
+// that pin the kernel to the seed's lazy-heap Dijkstra bit for bit — on
+// random graphs from §V-A size up past the session daemon's 228 nodes, and
+// on the §V-A instances themselves.
 #include "graph/spf_kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -41,19 +43,6 @@ graph::Graph random_graph(std::mt19937& rng, std::size_t nodes,
   }
   return g;
 }
-
-/// Forces run() onto one frontier for the lifetime of the object.
-class ScopedFrontier {
- public:
-  explicit ScopedFrontier(std::size_t limit)
-      : saved_(graph::spf::scan_frontier_max_nodes()) {
-    graph::spf::scan_frontier_max_nodes() = limit;
-  }
-  ~ScopedFrontier() { graph::spf::scan_frontier_max_nodes() = saved_; }
-
- private:
-  std::size_t saved_;
-};
 
 TEST(Csr, MatchesAdjacencyOnRandomTopologies) {
   std::mt19937 rng(7);
@@ -207,30 +196,36 @@ TEST(SpfWorkspace, IndexedHeapPopsInDistanceNodeOrderUnderDecreaseKey) {
   }
 }
 
-TEST(SpfKernel, ScanAndHeapFrontiersAreBitIdentical) {
+/// Kernel vs the seed's lazy-heap Dijkstra, distances AND parent edges, at
+/// the paper's sweep size (60 nodes), the session daemon's (228) and beyond
+/// (320), under a relay gate and with banned (+infinity) edges — the two
+/// ways routing callers prune the search.
+TEST(SpfKernel, BitIdenticalToLegacyAcrossGraphSizes) {
   std::mt19937 rng(59);
-  for (int round = 0; round < 20; ++round) {
-    const std::size_t nodes = 3 + round * 5;
-    const graph::Graph g = random_graph(rng, nodes, 0.2);
-    graph::spf::Csr csr;
-    csr.build_from(g);
-    auto weight = [&](std::size_t slot) { return csr.value(slot); };
+  for (const std::size_t nodes : {60u, 228u, 320u}) {
+    // Average degree ~6, like the Waxman instances.
+    const graph::Graph g = random_graph(rng, nodes, 5.0 / nodes);
+    auto banned = [](graph::EdgeId e) { return (e * 40503u) % 11u == 0; };
+    auto weight = [&](graph::EdgeId e) {
+      return banned(e) ? kInf : g.edge(e).length_km;
+    };
     // A stable pseudo-random expansion gate (mirrors the relay rule).
     auto gate = [](graph::NodeId v) { return (v * 2654435761u) % 8u != 0; };
-    const auto source = static_cast<graph::NodeId>(round % nodes);
-
-    graph::spf::SpfWorkspace heap_ws, scan_ws;
-    {
-      ScopedFrontier force_heap(0);
-      graph::spf::run(csr, heap_ws, source, weight, gate);
-    }
-    {
-      ScopedFrontier force_scan(nodes);
-      graph::spf::run(csr, scan_ws, source, weight, gate);
-    }
-    for (graph::NodeId v = 0; v < nodes; ++v) {
-      EXPECT_EQ(heap_ws.dist(v), scan_ws.dist(v));
-      EXPECT_EQ(heap_ws.parent(v), scan_ws.parent(v));
+    for (graph::NodeId source = 0; source < nodes; source += 7) {
+      const graph::ShortestPaths legacy =
+          graph::dijkstra_legacy(g, source, weight, gate);
+      const graph::ShortestPaths kernel =
+          graph::dijkstra(g, source, weight, gate);
+      ASSERT_EQ(kernel.distance.size(), nodes);
+      std::size_t unreached = 0;
+      for (graph::NodeId v = 0; v < nodes; ++v) {
+        EXPECT_EQ(kernel.distance[v], legacy.distance[v])
+            << nodes << " nodes, source " << source << ", node " << v;
+        EXPECT_EQ(kernel.parent_edge[v], legacy.parent_edge[v]);
+        if (legacy.distance[v] == kInf) ++unreached;
+      }
+      EXPECT_LT(unreached, nodes / 2) << "gate and bans should prune, not "
+                                         "disconnect";
     }
   }
 }
@@ -245,16 +240,87 @@ TEST(SpfKernel, SettleTargetStopsEarlyWithExactDistance) {
   graph::spf::SpfWorkspace full, targeted;
   graph::spf::run(csr, full, 0, weight, all);
   for (graph::NodeId target = 1; target < g.node_count(); ++target) {
-    graph::spf::run(csr, targeted, 0, weight, all, target);
+    graph::spf::run(csr, targeted, 0, weight, all,
+                    graph::spf::StopAt{target});
     EXPECT_EQ(targeted.dist(target), full.dist(target));
     EXPECT_EQ(targeted.parent(target), full.parent(target));
+  }
+}
+
+/// run() reports whether the frontier drained, and an early stop leaves a
+/// settled prefix bit-identical to the full run: the stop predicate sees
+/// nodes in the full run's settle order, every node it saw is settled with
+/// its final distance and parent, and nothing else is settled.
+TEST(SpfKernel, StopPredicateReportsDrainAndKeepsSettledPrefix) {
+  std::mt19937 rng(67);
+  const graph::Graph g = random_graph(rng, 228, 5.0 / 228);
+  graph::spf::Csr csr;
+  csr.build_from(g);
+  auto weight = [&](std::size_t slot) { return csr.value(slot); };
+  auto gate = [](graph::NodeId v) { return (v * 2654435761u) % 8u != 0; };
+
+  graph::spf::SpfWorkspace full;
+  std::vector<graph::NodeId> order;
+  std::uint64_t full_pops = 0;
+  EXPECT_TRUE(graph::spf::run(
+      csr, full, 5, weight, gate,
+      [&](graph::NodeId v) {
+        order.push_back(v);
+        return false;
+      },
+      &full_pops));
+  ASSERT_EQ(full_pops, order.size());
+  ASSERT_GT(order.size(), 100u);
+  std::size_t reached = 0;
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+    EXPECT_EQ(full.settled(v), full.reached(v)) << "drained: nothing open";
+    reached += full.reached(v) ? 1 : 0;
+  }
+  EXPECT_EQ(reached, order.size());
+
+  graph::spf::SpfWorkspace early;
+  for (const std::size_t prefix : {std::size_t{1}, std::size_t{2},
+                                   order.size() / 3, order.size() - 1,
+                                   order.size()}) {
+    std::vector<graph::NodeId> seen;
+    std::uint64_t pops = 0;
+    const bool drained = graph::spf::run(
+        csr, early, 5, weight, gate,
+        [&](graph::NodeId v) {
+          seen.push_back(v);
+          return seen.size() == prefix;
+        },
+        &pops);
+    // Stopping on the very last settle still counts as an early exit: the
+    // predicate fired, so the caller cannot assume a complete tree.
+    EXPECT_FALSE(drained) << "prefix " << prefix;
+    EXPECT_EQ(pops, prefix);
+    ASSERT_EQ(seen.size(), prefix);
+    EXPECT_TRUE(std::equal(seen.begin(), seen.end(), order.begin()));
+    std::size_t settled = 0;
+    for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+      if (!early.settled(v)) continue;
+      ++settled;
+      EXPECT_EQ(early.dist(v), full.dist(v)) << "prefix " << prefix;
+      EXPECT_EQ(early.parent(v), full.parent(v));
+    }
+    EXPECT_EQ(settled, prefix);
+  }
+
+  // A predicate that never fires drains: identical to the default.
+  graph::spf::SpfWorkspace never;
+  EXPECT_TRUE(graph::spf::run(csr, never, 5, weight, gate,
+                              [](graph::NodeId) { return false; }));
+  for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+    EXPECT_EQ(never.dist(v), full.dist(v));
+    EXPECT_EQ(never.parent(v), full.parent(v));
   }
 }
 
 /// The tentpole's contract on the paper's own workload: on §V-A default
 /// instances, the kernel (through the graph::dijkstra shim) reproduces the
 /// seed's lazy-heap Dijkstra bit for bit — distances AND parent edges —
-/// under the routing metric and the Def. 2 relay gate, on both frontiers.
+/// under the routing metric and the Def. 2 relay gate.
 TEST(SpfKernel, BitIdenticalToLegacyOnSectionVADefaults) {
   experiment::Scenario scenario;  // §V-A defaults
   for (std::size_t rep : {0u, 7u, 19u}) {
@@ -272,16 +338,13 @@ TEST(SpfKernel, BitIdenticalToLegacyOnSectionVADefaults) {
     for (const net::NodeId source : inst.users) {
       const graph::ShortestPaths legacy =
           graph::dijkstra_legacy(g, source, weight, relay_gate);
-      for (const std::size_t limit : {std::size_t{0}, g.node_count()}) {
-        ScopedFrontier frontier(limit);
-        const graph::ShortestPaths kernel =
-            graph::dijkstra(g, source, weight, relay_gate);
-        ASSERT_EQ(kernel.distance.size(), legacy.distance.size());
-        for (graph::NodeId v = 0; v < g.node_count(); ++v) {
-          EXPECT_EQ(kernel.distance[v], legacy.distance[v])
-              << "rep " << rep << " source " << source << " node " << v;
-          EXPECT_EQ(kernel.parent_edge[v], legacy.parent_edge[v]);
-        }
+      const graph::ShortestPaths kernel =
+          graph::dijkstra(g, source, weight, relay_gate);
+      ASSERT_EQ(kernel.distance.size(), legacy.distance.size());
+      for (graph::NodeId v = 0; v < g.node_count(); ++v) {
+        EXPECT_EQ(kernel.distance[v], legacy.distance[v])
+            << "rep " << rep << " source " << source << " node " << v;
+        EXPECT_EQ(kernel.parent_edge[v], legacy.parent_edge[v]);
       }
     }
   }

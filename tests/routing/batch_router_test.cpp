@@ -4,14 +4,16 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "experiment/scenario.hpp"
 #include "extensions/multigroup.hpp"
-#include "graph/spf_kernel.hpp"
 #include "network/channel.hpp"
 #include "network/network_builder.hpp"
 #include "network/rate.hpp"
+#include "routing/prim_based.hpp"
 #include "routing/router.hpp"
 #include "support/rng.hpp"
 #include "topology/waxman.hpp"
@@ -121,37 +123,103 @@ TEST_P(BatchOracle, FairShareMatchesInterleavedReference) {
   }
 }
 
-/// The scan/heap mode switch in the SPF kernel must not change results:
-/// force heap mode (threshold 0) and compare against default (scan for
-/// these sizes).
-TEST_P(BatchOracle, ScanAndHeapModesAgree) {
-  const Workload w = make_workload(GetParam() + 2000);
-  const auto requests = w.requests();
+/// Warm single-arrival admission at daemon scale, in lockstep with the
+/// cold path. The network is the session daemon's shape — Waxman, 100
+/// switches, 128 users, 16 qubits per switch (one lane's share of Q = 128
+/// over 8 lanes) — and sessions churn: each group of |U| = 2, 3, 4 or 10 is
+/// admitted by one long-lived BatchRouter (kGivenOrder, release_on_failure:
+/// SessionService's intake) and, on a second capacity pool, by
+/// prim_based_shared with the rollback SessionService::admit() performs;
+/// every few arrivals about half the held sessions are released on both
+/// pools. Trees, channel rates and residual capacity must agree bit for bit
+/// after every step. Pairs matter here: their slabs outlive the call, so a
+/// slab wrongly marked complete after an early exit would serve a later
+/// request from tentative distances.
+TEST_P(BatchOracle, SingleArrivalsMatchPrimBasedSharedAtDaemonScale) {
+  experiment::Scenario scenario;
+  scenario.switch_count = 100;
+  scenario.user_count = 128;
+  scenario.qubits_per_switch = 16;
+  scenario.attenuation = 2e-5;
+  scenario.seed = GetParam();
+  const experiment::Instance inst = experiment::instantiate(scenario, 0);
+  const net::QuantumNetwork& network = inst.network;
+  ASSERT_EQ(network.node_count(), 228u);
+
   BatchOptions options;
-  options.policy = BatchPolicy::kFairShare;
+  options.policy = BatchPolicy::kGivenOrder;
+  options.release_on_failure = true;
+  std::size_t rejected_total = 0;
+  for (const std::size_t group_size : {2u, 3u, 4u, 10u}) {
+    BatchRouter router(network);
+    net::CapacityState warm_capacity(network);
+    net::CapacityState cold_capacity(network);
+    support::Rng warm_rng(GetParam() * 13 + group_size);
+    support::Rng cold_rng(GetParam() * 13 + group_size);
+    support::Rng workload(GetParam() * 7 + group_size);
+    std::vector<std::vector<net::Channel>> held;  // admitted, not released
+    std::size_t admitted = 0;
+    for (int arrival = 0; arrival < 60; ++arrival) {
+      std::vector<NodeId> group;
+      for (const std::size_t i :
+           workload.sample_indices(inst.users.size(), group_size)) {
+        group.push_back(inst.users[i]);
+      }
+      const BatchRequest request{group};
+      const BatchResult warm = router.route_shared(
+          std::span(&request, 1), options, warm_rng, warm_capacity);
+      ASSERT_EQ(warm.outcomes.size(), 1u);
+      const net::EntanglementTree& got = warm.outcomes[0].tree;
 
-  support::Rng r1(GetParam() + 3);
-  BatchRouter router1(w.network);
-  const BatchResult scan = router1.route(requests, options, r1);
+      const auto seed =
+          static_cast<std::size_t>(cold_rng.uniform_index(group.size()));
+      const net::EntanglementTree want =
+          prim_based_shared(network, group, seed, cold_capacity);
+      if (!want.feasible) {
+        for (const net::Channel& ch : want.channels) {
+          cold_capacity.release_channel(ch.path);
+        }
+      }
 
-  const std::size_t saved = graph::spf::scan_frontier_max_nodes();
-  graph::spf::scan_frontier_max_nodes() = 0;  // force heap mode
-  support::Rng r2(GetParam() + 3);
-  BatchRouter router2(w.network);
-  const BatchResult heap = router2.route(requests, options, r2);
-  graph::spf::scan_frontier_max_nodes() = saved;
+      const std::string where = "|U| " + std::to_string(group_size) +
+                                ", arrival " + std::to_string(arrival);
+      ASSERT_EQ(got.feasible, want.feasible) << where;
+      EXPECT_EQ(got.rate, want.rate) << where;
+      ASSERT_EQ(got.channels.size(), want.channels.size()) << where;
+      for (std::size_t c = 0; c < want.channels.size(); ++c) {
+        EXPECT_EQ(got.channels[c].path, want.channels[c].path) << where;
+        EXPECT_EQ(got.channels[c].rate, want.channels[c].rate) << where;
+      }
+      if (got.feasible) {
+        ++admitted;
+        held.push_back(got.channels);
+      } else {
+        ++rejected_total;
+      }
 
-  ASSERT_EQ(scan.outcomes.size(), heap.outcomes.size());
-  EXPECT_EQ(scan.served_product_rate, heap.served_product_rate);
-  for (std::size_t i = 0; i < scan.outcomes.size(); ++i) {
-    EXPECT_EQ(scan.outcomes[i].tree.rate, heap.outcomes[i].tree.rate);
-    ASSERT_EQ(scan.outcomes[i].tree.channels.size(),
-              heap.outcomes[i].tree.channels.size());
-    for (std::size_t c = 0; c < scan.outcomes[i].tree.channels.size(); ++c) {
-      EXPECT_EQ(scan.outcomes[i].tree.channels[c].path,
-                heap.outcomes[i].tree.channels[c].path);
+      if (arrival % 6 == 5) {
+        // Churn: release about half the held sessions on both pools.
+        std::vector<std::vector<net::Channel>> kept;
+        for (std::vector<net::Channel>& tree : held) {
+          if (!workload.bernoulli(0.5)) {
+            kept.push_back(std::move(tree));
+            continue;
+          }
+          for (const net::Channel& ch : tree) {
+            warm_capacity.release_channel(ch.path);
+            cold_capacity.release_channel(ch.path);
+          }
+        }
+        held = std::move(kept);
+      }
+      for (const NodeId sw : network.switches()) {
+        ASSERT_EQ(warm_capacity.free_qubits(sw), cold_capacity.free_qubits(sw))
+            << where << ", switch " << sw;
+      }
     }
+    EXPECT_GT(admitted, 0u) << "|U| " << group_size;
   }
+  EXPECT_GT(rejected_total, 0u) << "the pools should saturate under churn";
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchOracle,

@@ -11,7 +11,8 @@
 // checks what is machine-independent:
 //
 //   * speedup ratios (cached-vs-uncached per algorithm, greedy hot path and
-//     total, SPF kernel) must stay within --tolerance of the baseline;
+//     total, SPF kernel at §V-A and session size) must not drop more than
+//     --tolerance below the baseline;
 //   * "identical" result flags that were true must stay true;
 //   * per-repetition rate arrays must match the baseline bit for bit
 //     (--allow-rate-drift downgrades this to a warning for PRs that
@@ -219,12 +220,15 @@ int main(int argc, char** argv) {
                        baseline.value[section]["speedup"].number_value,
                        current.value[section]["speedup"].number_value);
   }
-  gate.check_speedup("spf_kernel",
-                     baseline.value["spf_kernel"]["speedup"].number_value,
-                     current.value["spf_kernel"]["speedup"].number_value);
-  gate.check_flag("spf_kernel identical",
-                  baseline.value["spf_kernel"]["identical"].bool_value,
-                  current.value["spf_kernel"]["identical"].bool_value);
+  // Kernel-vs-legacy Dijkstra at the §V-A size and at the session daemon's.
+  for (const char* section : {"spf_kernel", "spf_kernel_session"}) {
+    gate.check_speedup(section,
+                       baseline.value[section]["speedup"].number_value,
+                       current.value[section]["speedup"].number_value);
+    gate.check_flag(std::string(section) + " identical",
+                    baseline.value[section]["identical"].bool_value,
+                    current.value[section]["identical"].bool_value);
+  }
 
   // Telemetry counters + per-span diff (only when both runs captured them
   // — OFF builds write "enabled": false and an empty snapshot).
