@@ -4,11 +4,12 @@
 // and compares two implementations of the same contract:
 //
 //   * reference: the sequential ext::route_groups_reference /
-//     route_groups_interleaved_reference loops (one full per-group setup —
-//     cold finder, run-to-exhaustion Dijkstras — per request);
+//     route_groups_interleaved_reference loops (paper-literal: one full
+//     run-to-exhaustion Dijkstra per connected source per round, nothing
+//     cached across requests);
 //   * batch: a persistent routing::BatchRouter instance (shared CSR,
-//     generation-stamped slab workspaces, coalesced capacity epochs,
-//     early-exit Dijkstras).
+//     persistent pair slabs, coalesced capacity epochs, early-exit
+//     Dijkstras).
 //
 // Both are driven with identically seeded Rngs, and every pass asserts the
 // outcomes are bit-identical (admit decisions, rates, channel paths) —

@@ -3,13 +3,15 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <unordered_set>
 
+#include "graph/algorithms.hpp"
 #include "routing/batch_router.hpp"
 #include "routing/channel_finder.hpp"
+#include "network/rate.hpp"
 #include "routing/plan.hpp"
-#include "routing/prim_based.hpp"
 
 namespace muerp::ext {
 
@@ -99,6 +101,50 @@ MultiGroupResult route_groups_interleaved(const net::QuantumNetwork& network,
                        rng);
 }
 
+net::EntanglementTree prim_based_reference(const net::QuantumNetwork& network,
+                                           std::span<const net::NodeId> users,
+                                           std::size_t seed_user_index,
+                                           net::CapacityState& capacity) {
+  std::vector<net::NodeId> connected{users[seed_user_index]};  // U1
+  std::vector<net::NodeId> pending(users.begin(), users.end());  // U2
+  pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(seed_user_index));
+  std::sort(pending.begin(), pending.end());
+  std::vector<net::Channel> committed;
+  const auto weight = [&](graph::EdgeId e) {
+    return network.edge_routing_weight(e);
+  };
+  const auto relay = [&](graph::NodeId v) {
+    return network.is_switch(v) && capacity.free_qubits(v) >= 2;
+  };
+  while (!pending.empty()) {
+    double best = std::numeric_limits<double>::infinity();
+    net::Channel channel;
+    for (const net::NodeId source : connected) {
+      const graph::ShortestPaths paths =
+          graph::dijkstra(network.graph(), source, weight, relay);
+      for (const net::NodeId user : pending) {
+        if (paths.distance[user] < best) {
+          best = paths.distance[user];
+          channel.path =
+              graph::reconstruct_path(network.graph(), paths, source, user);
+        }
+      }
+    }
+    if (std::isinf(best)) {
+      return routing::make_tree(std::move(committed), false);
+    }
+    channel.rate = net::rate_from_routing_distance(
+        best, network.physical().swap_success);
+    channel.neg_log_rate = best + network.log_swap_success();
+    capacity.commit_channel(channel.path);
+    pending.erase(std::find(pending.begin(), pending.end(),
+                            channel.destination()));
+    connected.push_back(channel.destination());
+    committed.push_back(std::move(channel));
+  }
+  return routing::make_tree(std::move(committed), true);
+}
+
 MultiGroupResult route_groups_reference(const net::QuantumNetwork& network,
                                         std::span<const GroupRequest> groups,
                                         GroupOrder order, support::Rng& rng) {
@@ -140,8 +186,8 @@ MultiGroupResult route_groups_reference(const net::QuantumNetwork& network,
       // earlier groups drew from. A failed group may leave partial
       // deductions behind — deliberate: in the offline §II-B process those
       // qubits were already promised before the failure was discovered.
-      outcome.tree = routing::prim_based_shared(network, group.users, seed,
-                                                capacity);
+      outcome.tree =
+          prim_based_reference(network, group.users, seed, capacity);
     }
     if (outcome.tree.feasible) {
       ++result.groups_served;

@@ -12,8 +12,9 @@
 //
 // Both entry points delegate to routing::BatchRouter — the batch kernel
 // that shares one CSR view, slab workspaces and capacity bookkeeping across
-// the whole request set. The pre-kernel implementations are kept as
-// *_reference oracles: straight-line code the batch results are asserted
+// the whole request set. Paper-literal implementations are kept as
+// *_reference oracles: straight-line code, one full Algorithm-1 Dijkstra
+// per connected source per round, that the batch results are asserted
 // bit-identical against in tests.
 #pragma once
 
@@ -77,10 +78,21 @@ MultiGroupResult route_groups_interleaved(const net::QuantumNetwork& network,
                                           std::span<const GroupRequest> groups,
                                           support::Rng& rng);
 
-/// Pre-BatchRouter implementation of route_groups, kept as the oracle the
-/// batch kernel is verified bit-identical against (same Rng draw sequence,
-/// same admission order, same channels and rates). One group at a time,
-/// each paying its own CachedChannelFinder and full Dijkstras.
+/// Algorithm 4's growth as the paper writes it, the oracle for
+/// routing::grow_round: every round runs one full Algorithm-1 Dijkstra per
+/// U1 source and keeps the strict-< minimum of the raw routing distance,
+/// scanning sources in connection order and pending users ascending. No
+/// early exit, no cache. Same contract as routing::prim_based_shared: on an
+/// infeasible outcome `capacity` keeps the partial deductions.
+net::EntanglementTree prim_based_reference(const net::QuantumNetwork& network,
+                                           std::span<const net::NodeId> users,
+                                           std::size_t seed_user_index,
+                                           net::CapacityState& capacity);
+
+/// Sequential implementation of route_groups over prim_based_reference,
+/// kept as the oracle the batch kernel is verified bit-identical against
+/// (same Rng draw sequence, same admission order, same channels and
+/// rates). One group at a time, every round paying full Dijkstras.
 MultiGroupResult route_groups_reference(const net::QuantumNetwork& network,
                                         std::span<const GroupRequest> groups,
                                         GroupOrder order, support::Rng& rng);

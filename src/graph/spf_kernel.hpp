@@ -15,14 +15,15 @@
 //                  generation-stamped: begin() bumps a counter instead of
 //                  refilling O(|V|) memory, so repeated queries on a warm
 //                  workspace allocate nothing and touch only reached nodes.
-//   * run()      — the one Dijkstra. Weight and expansion-filter are
-//                  template functors (inlined into the relaxation loop), the
-//                  heap is an indexed 4-ary heap with decrease-key (no stale
-//                  re-pops), and the pop order matches the legacy lazy-heap
-//                  loop bit for bit: ties on distance settle in ascending
-//                  node order, exactly like the (distance, node) pairs the
-//                  old std::priority_queue compared. Migrated callers
-//                  therefore produce bit-identical results.
+//   * run()      — the one Dijkstra, from one source or several. Weight and
+//                  expansion-filter are template functors (inlined into the
+//                  relaxation loop), the heap is an indexed 4-ary heap with
+//                  decrease-key (no stale re-pops), and a single-source pop
+//                  order matches the legacy lazy-heap loop bit for bit: ties
+//                  on distance settle in ascending node order, exactly like
+//                  the (distance, node) pairs the old std::priority_queue
+//                  compared. With several sources a distance tie goes to
+//                  the lower source rank.
 //   * DaryHeap   — the same 4-ary sift machinery as a standalone non-indexed
 //                  heap, for the label-setting constrained searches
 //                  (fidelity / purification) that push immutable labels and
@@ -42,6 +43,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -159,13 +161,20 @@ class SpfWorkspace {
     return dist_[v];
   }
 
-  /// Arc that last improved `v`; kInvalidEdge at the source / unreached.
+  /// Arc that last improved `v`; kInvalidEdge at a source / unreached.
   EdgeId parent(NodeId v) const noexcept {
     return reached(v) ? parent_[v] : kInvalidEdge;
   }
 
+  /// Rank of the source a settled node was reached from (its index in the
+  /// span run() was given; 0 for a single-source run).
+  std::uint32_t rank(NodeId v) const noexcept {
+    assert(settled(v));
+    return heap_pos_[v] & ~kSettled;
+  }
+
   bool settled(NodeId v) const noexcept {
-    return reached(v) && heap_pos_[v] == kSettled;
+    return reached(v) && heap_pos_[v] >= kSettled;
   }
 
   /// Copies the query result into dense caller-owned arrays (the shape the
@@ -187,44 +196,56 @@ class SpfWorkspace {
 
   // --- query-side mutators (used by run(); public for the kernel tests) ---
 
-  /// Marks `source` reached at distance 0 and enqueues it.
-  void seed(NodeId source) {
+  /// Marks `source` reached at distance 0 with source rank `rank` and
+  /// enqueues it. A seed keeps kInvalidEdge as its parent for good.
+  void seed(NodeId source, std::uint32_t rank = 0) {
     assert(source < node_count_);
+    assert(!reached(source) && "sources must be distinct");
+    assert(rank < kSettled - 1);
     touch(source, 0.0, kInvalidEdge);
-    heap_push(source);
+    heap_push(source, rank);
   }
 
-  /// Relaxes arc (`from` already settled) -> `to` with total `candidate`:
-  /// adopts it iff it strictly improves, pushing or decreasing `to`'s heap
-  /// key. Strict improvement reproduces the legacy loop's first-wins tie
-  /// handling.
-  void relax(NodeId to, EdgeId via, double candidate) {
+  /// Relaxes arc (`from` already settled, reached from source rank `rank`)
+  /// -> `to` with total `candidate`: adopts it iff (candidate, rank) is
+  /// lexicographically below `to`'s current (distance, rank), pushing or
+  /// decreasing `to`'s heap key. Strict improvement reproduces the legacy
+  /// loop's first-wins tie handling; with one source every rank is 0 and
+  /// the rank clause never fires.
+  void relax(NodeId to, EdgeId via, double candidate,
+             std::uint32_t rank = 0) {
     // A +infinity candidate is a banned arc (or an unreachable tail): it can
     // never improve anything, and skipping it keeps the heap free of
     // sentinel entries, matching what the legacy strict-< loops enqueued.
     if (candidate == kUnreachable) return;
     if (!reached(to)) {
       touch(to, candidate, via);
-      heap_push(to);
+      heap_push(to, rank);
       return;
     }
-    if (candidate < dist_[to]) {
-      assert(heap_pos_[to] != kSettled &&
+    // An equal distance from a lower-ranked source also improves. A
+    // settled node never qualifies (it popped with a (distance, rank) no
+    // larger than its settled predecessor's), and a seed keeps its rank.
+    if (candidate < dist_[to] ||
+        (candidate == dist_[to] && heap_pos_[to] < kSettled &&
+         parent_[to] != kInvalidEdge &&
+         rank < key_rank(heap_[heap_pos_[to]]))) {
+      assert(heap_pos_[to] < kSettled &&
              "non-negative weights never improve a settled node");
       dist_[to] = candidate;
       parent_[to] = via;
-      heap_[heap_pos_[to]] = heap_key(candidate, to);
+      heap_[heap_pos_[to]] = heap_key(candidate, rank, to);
       sift_up(heap_pos_[to]);
     }
   }
 
   bool heap_empty() const noexcept { return heap_.empty(); }
 
-  /// Pops the node with minimal (distance, id) and marks it settled.
+  /// Pops the node with minimal (distance, rank, id) and marks it settled.
   NodeId heap_pop_min() {
     assert(!heap_.empty());
     const NodeId top = key_node(heap_.front());
-    heap_pos_[top] = kSettled;
+    heap_pos_[top] = kSettled | key_rank(heap_.front());
     const HeapKey last = heap_.back();
     heap_.pop_back();
     if (!heap_.empty()) {
@@ -243,8 +264,11 @@ class SpfWorkspace {
   }
 
  private:
+  // heap_pos_ holds a node's heap index while it is queued, and kSettled
+  // plus its source rank once it has settled. A reached node is never left
+  // at kNotInHeap, so that value cannot read as a settled rank.
   static constexpr std::uint32_t kNotInHeap = 0xFFFFFFFFu;
-  static constexpr std::uint32_t kSettled = 0xFFFFFFFEu;
+  static constexpr std::uint32_t kSettled = 0x80000000u;
 
   void touch(NodeId v, double dist, EdgeId via) {
     stamp_[v] = generation_;
@@ -253,24 +277,29 @@ class SpfWorkspace {
     heap_pos_[v] = kNotInHeap;
   }
 
-  /// Heap order: (distance, node id) ascending — the exact order the legacy
-  /// loop's std::priority_queue of (distance, node) pairs popped in, which
-  /// is what keeps migrated callers bit-identical on distance ties. Each
-  /// entry is its own sort key: the distance's IEEE bits (monotone as an
-  /// unsigned integer over the non-negative, never-NaN distances the kernel
-  /// holds) above the node id, so comparing two entries is one 128-bit
+  /// Heap order: (distance, source rank, node id) ascending. With one
+  /// source every rank is 0, which leaves the exact (distance, node) order
+  /// the legacy loop's std::priority_queue popped in — what keeps migrated
+  /// callers bit-identical on distance ties. Each entry is its own sort
+  /// key: the distance's IEEE bits (monotone as an unsigned integer over
+  /// the non-negative, never-NaN distances the kernel holds), then the
+  /// rank, then the node id, so comparing two entries is one 128-bit
   /// integer compare — no load through dist_, no branch on distance ties.
   __extension__ typedef unsigned __int128 HeapKey;
 
-  static HeapKey heap_key(double dist, NodeId v) noexcept {
-    return (HeapKey{std::bit_cast<std::uint64_t>(dist)} << 32) | v;
+  static HeapKey heap_key(double dist, std::uint32_t rank, NodeId v) noexcept {
+    return (HeapKey{std::bit_cast<std::uint64_t>(dist)} << 64) |
+           (HeapKey{rank} << 32) | v;
   }
   static NodeId key_node(HeapKey key) noexcept {
     return static_cast<NodeId>(key);
   }
+  static std::uint32_t key_rank(HeapKey key) noexcept {
+    return static_cast<std::uint32_t>(key >> 32);
+  }
 
-  void heap_push(NodeId v) {
-    heap_.push_back(heap_key(dist_[v], v));
+  void heap_push(NodeId v, std::uint32_t rank) {
+    heap_.push_back(heap_key(dist_[v], rank, v));
     sift_up(static_cast<std::uint32_t>(heap_.size() - 1));
   }
 
@@ -336,41 +365,65 @@ struct StopAt {
   constexpr bool operator()(NodeId v) const noexcept { return v == target; }
 };
 
-/// The one Dijkstra. `weight(slot)` maps a CSR arc slot to its non-negative
-/// cost (+infinity excludes the arc); `allow_expand(v)` gates relaxation
-/// out of a non-source vertex — a vertex failing it can still be reached as
-/// a path endpoint (the quantum-channel rule of paper Def. 2). `stop(v)` is
-/// asked once per settled node, before it is expanded; returning true
-/// abandons the frontier. Everything settled by then — the stopping node
-/// included — carries its final distance and parent, bit-identical to a
-/// run to exhaustion, because the settle order does not depend on where
-/// the run ends. `pop_counter`, when non-null, accumulates settled nodes
-/// (the routing layer's hook into its own named counters; the plain
-/// pointer keeps the inner loop free of atomics). Returns true when the
-/// frontier drained, false when `stop` ended the run early.
+/// The one Dijkstra. `sources` start at distance 0, ranked by their index
+/// in the span. `weight(slot)` maps a CSR arc slot to its non-negative cost
+/// (+infinity excludes the arc); `allow_expand(v)` gates relaxation out of
+/// a non-source vertex — a vertex failing it can still be reached as a path
+/// endpoint (the quantum-channel rule of paper Def. 2). Nodes settle in
+/// (distance, rank, id) order, each with the least (distance, rank) over
+/// the per-source runs and that source's own parent chain — provided arcs
+/// out of a source cost more than 0 and sums do not round into ties.
+/// `stop(v)` is asked once per settled node, before it is expanded;
+/// returning true abandons the frontier. Everything settled by then — the
+/// stopping node included — carries its final distance, rank and parent,
+/// bit-identical to a run to exhaustion, because the settle order does not
+/// depend on where the run ends. `pop_counter`, when non-null, accumulates
+/// settled nodes (the routing layer's hook into its own named counters;
+/// the plain pointer keeps the inner loop free of atomics). Returns true
+/// when the frontier drained, false when `stop` ended the run early.
 template <typename WeightFn, typename AllowExpandFn,
           typename StopFn = NeverStop>
-bool run(const Csr& csr, SpfWorkspace& workspace, NodeId source,
-         WeightFn&& weight, AllowExpandFn&& allow_expand,
-         StopFn&& stop = StopFn{}, std::uint64_t* pop_counter = nullptr) {
+bool run(const Csr& csr, SpfWorkspace& workspace,
+         std::span<const NodeId> sources, WeightFn&& weight,
+         AllowExpandFn&& allow_expand, StopFn&& stop = StopFn{},
+         std::uint64_t* pop_counter = nullptr) {
   MUERP_COUNTER_INC("spf/runs");
   workspace.begin(csr.node_count());
-  workspace.seed(source);
+  for (std::uint32_t rank = 0; rank < sources.size(); ++rank) {
+    workspace.seed(sources[rank], rank);
+  }
   while (!workspace.heap_empty()) {
     const NodeId v = workspace.heap_pop_min();
     if (pop_counter != nullptr) ++*pop_counter;
     if (stop(v)) return false;
-    if (v != source && !allow_expand(v)) continue;
+    // Seeds — distance 0, no parent arc — always expand.
     const double base = workspace.dist_unchecked(v);
+    if (!(base == 0.0 && workspace.parent(v) == kInvalidEdge) &&
+        !allow_expand(v)) {
+      continue;
+    }
+    const std::uint32_t rank = workspace.rank(v);
     const std::size_t end = csr.offsets[v + 1];
     for (std::size_t slot = csr.offsets[v]; slot < end; ++slot) {
       const double w = weight(slot);
       assert(w >= 0.0 && "SPF kernel requires non-negative weights");
       const Arc& arc = csr.arcs[slot];
-      workspace.relax(arc.target, arc.edge, base + w);
+      workspace.relax(arc.target, arc.edge, base + w, rank);
     }
   }
   return true;
+}
+
+/// Single-source run(): the one-element span, rank 0.
+template <typename WeightFn, typename AllowExpandFn,
+          typename StopFn = NeverStop>
+bool run(const Csr& csr, SpfWorkspace& workspace, NodeId source,
+         WeightFn&& weight, AllowExpandFn&& allow_expand,
+         StopFn&& stop = StopFn{}, std::uint64_t* pop_counter = nullptr) {
+  return run(csr, workspace, std::span<const NodeId>(&source, 1),
+             std::forward<WeightFn>(weight),
+             std::forward<AllowExpandFn>(allow_expand),
+             std::forward<StopFn>(stop), pop_counter);
 }
 
 /// Per-thread kernel context: a small ring of CSR views keyed to the

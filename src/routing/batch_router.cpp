@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "graph/spf_kernel.hpp"
-#include "network/rate.hpp"
 #include "routing/perf_counters.hpp"
 #include "routing/plan.hpp"
 #include "support/telemetry/telemetry.hpp"
@@ -63,8 +62,6 @@ BatchRouter::BatchRouter(const net::QuantumNetwork& network)
       log_swap_(network.log_swap_success()),
       node_count_(network.graph().node_count()) {
   slab_of_.assign(node_count_, kNoSlab);
-  slab_of_stamp_.assign(node_count_, 0);
-  pending_stamp_.assign(node_count_, 0);
   flip_parity_.assign(node_count_, 0);
   flip_status_.assign(node_count_, 0);
 }
@@ -181,33 +178,17 @@ net::EntanglementTree BatchRouter::route_one(
   MUERP_SPAN("batch/grow");
   assert(!users.empty());
   assert(seed_user_index < users.size());
-  if (users.size() == 1) return make_tree({}, true);
-  if (users.size() == 2) {
+  if (users.size() == 2 && cache_enabled_) {
     // Nothing is committed before the pair's single channel, so a failure
     // holds no qubits and release_on_failure has nothing to undo.
     return route_pair(users[seed_user_index], users[1 - seed_user_index],
                       capacity);
   }
 
-  begin_scope();
-  Growing& g = scratch_;
-  g.connected.clear();
-  g.connected.push_back(users[seed_user_index]);
-  g.pending.clear();
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    if (i != seed_user_index) g.pending.push_back(users[i]);
-  }
-  std::sort(g.pending.begin(), g.pending.end());
-  assert(std::adjacent_find(g.pending.begin(), g.pending.end()) ==
-             g.pending.end() &&
-         "a group's own users must be distinct");
-  g.committed.clear();
-
+  Growth& g = scratch_;
+  g.reset(users, seed_user_index);
   while (!g.pending.empty()) {
-    // Selection compares raw routing distances with strict <, scanning
-    // sources in connection order and pending users ascending — the exact
-    // tie handling of prim_based_shared's bitmap scan over network.users().
-    if (!extend_one(g, capacity, /*compare_neg_log=*/false)) {
+    if (!grow(g, capacity, GrowthKey::kRoutingDistance)) {
       if (release_on_failure) {
         for (const net::Channel& channel : g.committed) {
           capacity.release_channel(channel.path);
@@ -219,52 +200,10 @@ net::EntanglementTree BatchRouter::route_one(
   return make_tree(std::move(g.committed), true);
 }
 
-bool BatchRouter::extend_one(Growing& group, net::CapacityState& capacity,
-                             bool compare_neg_log) {
-  double best_key = kInf;
-  net::NodeId best_source = 0;
-  net::NodeId best_destination = 0;
-  std::size_t best_slot = 0;
-  for (const net::NodeId source : group.connected) {
-    const std::size_t slot = tree_for(source, group.pending, capacity);
-    const double* dist = slab_dist_.data() + slot * node_count_;
-    if (compare_neg_log) {
-      // The interleaved scheduler compares candidate channels, i.e.
-      // neg_log_rate = dist + ln q. Adding the constant can round a strict
-      // inequality between raw distances into a tie (first-wins keeps the
-      // earlier candidate), so matching its results bit for bit requires
-      // comparing in the same domain.
-      for (const net::NodeId user : group.pending) {
-        const double key = dist[user] + log_swap_;
-        if (key < best_key) {
-          best_key = key;
-          best_source = source;
-          best_destination = user;
-          best_slot = slot;
-        }
-      }
-    } else {
-      for (const net::NodeId user : group.pending) {
-        if (dist[user] < best_key) {
-          best_key = dist[user];
-          best_source = source;
-          best_destination = user;
-          best_slot = slot;
-        }
-      }
-    }
-  }
-  if (best_key == kInf) return false;
-
-  net::Channel channel =
-      extract_channel(best_slot, best_source, best_destination);
-  capacity.commit_channel(channel.path);
-  group.pending.erase(std::lower_bound(group.pending.begin(),
-                                       group.pending.end(),
-                                       best_destination));
-  group.connected.push_back(best_destination);
-  group.committed.push_back(std::move(channel));
-  return true;
+bool BatchRouter::grow(Growth& growth, net::CapacityState& capacity,
+                       GrowthKey key) {
+  MUERP_COUNTER_INC("batch/dijkstra_runs");
+  return grow_round(*network_, growth, capacity, key);
 }
 
 void BatchRouter::route_fair_share(std::span<const BatchRequest> requests,
@@ -273,68 +212,51 @@ void BatchRouter::route_fair_share(std::span<const BatchRequest> requests,
                                    net::CapacityState& capacity,
                                    BatchResult& result) {
   MUERP_SPAN("batch/contention");
-  // One slab scope for the whole pass: rounds revisit the same sources
-  // under a shrinking pending set, which is exactly what the slab reuse
-  // check (subset of build-time targets + flip replay) licenses.
-  begin_scope();
-
-  std::vector<Growing> growing;
-  growing.reserve(requests.size());
+  std::vector<Growth> growing(requests.size());
+  std::vector<char> failed(requests.size(), 0);
   std::vector<std::uint64_t> group_ns(requests.size(), 0);
   for (std::size_t g = 0; g < requests.size(); ++g) {
-    Growing state;
-    state.request_index = g;
     const std::span<const net::NodeId> users = requests[g].users;
-    if (!users.empty()) {
-      // Seeds for all non-empty groups up front, in request order — the
-      // draw sequence of ext::route_groups_interleaved.
-      const auto seed =
-          static_cast<std::size_t>(rng.uniform_index(users.size()));
-      state.connected.push_back(users[seed]);
-      for (std::size_t i = 0; i < users.size(); ++i) {
-        if (i != seed) state.pending.push_back(users[i]);
-      }
-      std::sort(state.pending.begin(), state.pending.end());
-      assert(std::adjacent_find(state.pending.begin(), state.pending.end()) ==
-                 state.pending.end() &&
-             "a group's own users must be distinct");
-    }
-    growing.push_back(std::move(state));
+    if (users.empty()) continue;
+    // Seeds for all non-empty groups up front, in request order — the draw
+    // sequence of ext::route_groups_interleaved.
+    growing[g].reset(
+        users, static_cast<std::size_t>(rng.uniform_index(users.size())));
   }
 
   // Rounds: each unfinished group commits its single best channel in turn.
   bool any_unfinished = true;
   while (any_unfinished) {
     any_unfinished = false;
-    for (Growing& group : growing) {
-      if (group.finished()) continue;
+    for (std::size_t g = 0; g < growing.size(); ++g) {
+      Growth& growth = growing[g];
+      if (failed[g] != 0 || growth.pending.empty()) continue;
       const std::uint64_t t0 = now_ns();
-      if (!extend_one(group, capacity, /*compare_neg_log=*/true)) {
-        group.failed = true;
+      if (!grow(growth, capacity, GrowthKey::kNegLogRate)) {
+        failed[g] = 1;
         if (options.release_on_failure) {
-          for (const net::Channel& channel : group.committed) {
+          for (const net::Channel& channel : growth.committed) {
             capacity.release_channel(channel.path);
           }
         }
-      } else if (!group.finished()) {
+      } else if (!growth.pending.empty()) {
         any_unfinished = true;
       }
-      group_ns[group.request_index] += now_ns() - t0;
+      group_ns[g] += now_ns() - t0;
     }
   }
 
-  for (Growing& group : growing) {
+  for (std::size_t g = 0; g < growing.size(); ++g) {
     BatchGroupOutcome outcome;
-    outcome.request_index = group.request_index;
-    outcome.tree = make_tree(std::move(group.committed), !group.failed);
+    outcome.request_index = g;
+    outcome.tree = make_tree(std::move(growing[g].committed), failed[g] == 0);
     if (outcome.tree.feasible) {
       ++result.groups_served;
       result.served_product_rate *= outcome.tree.rate;
     }
     result.outcomes.push_back(std::move(outcome));
     if (options.admit_us != nullptr) {
-      options.admit_us->push_back(
-          static_cast<double>(group_ns[outcome.request_index]) / 1e3);
+      options.admit_us->push_back(static_cast<double>(group_ns[g]) / 1e3);
     }
   }
 }
@@ -401,133 +323,54 @@ void BatchRouter::route_greedy(std::span<const BatchRequest> requests,
   }
 }
 
-void BatchRouter::begin_scope() {
-  slabs_used_ = 0;
-  if (++scope_gen_ == 0) {
-    std::fill(slab_of_stamp_.begin(), slab_of_stamp_.end(), 0u);
-    scope_gen_ = 1;
-  }
-}
-
 std::size_t BatchRouter::acquire_slab(net::NodeId source) {
-  if (slabs_used_ == slab_meta_.size()) {
-    slab_meta_.emplace_back();
-    slab_dist_.resize(slab_meta_.size() * node_count_);
-    slab_parent_.resize(slab_meta_.size() * node_count_);
-    slab_on_path_.resize(slab_meta_.size() * node_count_);
-  }
-  const std::size_t slot = slabs_used_++;
-  slab_meta_[slot].source = source;
+  const std::size_t slot = slab_meta_.size();
+  slab_meta_.emplace_back();
+  slab_dist_.resize(slab_meta_.size() * node_count_);
+  slab_parent_.resize(slab_meta_.size() * node_count_);
+  slab_on_path_.resize(slab_meta_.size() * node_count_);
   slab_of_[source] = static_cast<std::uint32_t>(slot);
-  slab_of_stamp_[source] = scope_gen_;
   return slot;
 }
 
-std::size_t BatchRouter::tree_for(net::NodeId source,
-                                  std::span<const net::NodeId> pending,
+std::size_t BatchRouter::tree_for(net::NodeId source, net::NodeId target,
                                   const net::CapacityState& capacity) {
-  std::size_t slot = kNoSlab;
-  if (slab_of_stamp_[source] == scope_gen_) slot = slab_of_[source];
-  if (slot != kNoSlab && cache_enabled_) {
+  std::size_t slot = slab_of_[source];
+  if (slot != kNoSlab) {
     SlabMeta& meta = slab_meta_[slot];
-    // Reuse requires: same capacity identity; the requested reads covered
+    // Reuse requires: same capacity identity; the requested target covered
     // by the slab's final entries (everywhere for complete slabs, the
-    // build-time targets otherwise); and no net relay flip since the
-    // slab's epoch that could touch what it serves.
+    // build-time target otherwise); and no net relay flip since the slab's
+    // epoch that could touch what it serves.
     if (meta.state_id == capacity.id() &&
-        (meta.complete ||
-         std::includes(meta.targets.begin(), meta.targets.end(),
-                       pending.begin(), pending.end())) &&
+        (meta.complete || meta.target == target) &&
         !invalidated_by_flips(slot, capacity.flips_since(meta.epoch))) {
       meta.epoch = capacity.epoch();
       MUERP_COUNTER_INC("batch/tree_cache_hits");
       return slot;
     }
+  } else {
+    slot = acquire_slab(source);
   }
-  if (slot == kNoSlab) slot = acquire_slab(source);
-  build_tree(slot, source, pending, capacity);
+  build_tree(slot, source, target, capacity);
   return slot;
-}
-
-bool BatchRouter::run_spf(net::NodeId source,
-                          std::span<const net::NodeId> pending,
-                          const net::CapacityState& capacity) {
-  kDijkstraRuns.add(1);
-  MUERP_COUNTER_INC("batch/dijkstra_runs");
-
-  auto& ctx = graph::spf::thread_context();
-  const graph::spf::Csr& csr = ctx.affine_csr_for(
-      network_->graph(), network_->physical().attenuation, -log_swap_);
-  assert(csr.node_count() == node_count_);
-
-  // Stamp this run's pending users so the stop predicate can count them
-  // down without a per-run membership clear.
-  if (++pending_gen_ == 0) {
-    std::fill(pending_stamp_.begin(), pending_stamp_.end(), 0u);
-    pending_gen_ = 1;
-  }
-  for (const net::NodeId u : pending) pending_stamp_[u] = pending_gen_;
-  std::size_t remaining = pending.size();
-
-  // Once the last pending user settles, everything the growth scan and the
-  // winner extraction will read is final (a Dijkstra's settled prefix is
-  // bit-identical to the full run), so the rest of the frontier is
-  // abandoned.
-  std::uint64_t pops = 0;
-  const bool drained = graph::spf::run(
-      csr, ctx.workspace, source,
-      [&](std::size_t arc) { return csr.value(arc); },
-      [&](net::NodeId v) {
-        return network_->is_switch(v) && capacity.free_qubits(v) >= 2;
-      },
-      [&](net::NodeId v) {
-        return pending_stamp_[v] == pending_gen_ && --remaining == 0;
-      },
-      &pops);
-  kHeapPops.add(pops);
-  return drained;
 }
 
 net::EntanglementTree BatchRouter::route_pair(net::NodeId source,
                                               net::NodeId target,
                                               net::CapacityState& capacity) {
-  const net::NodeId pending[1] = {target};
-  if (cache_enabled_) {
-    // Pairs skip begin_scope on purpose: their slabs stay addressable
-    // across groups AND across route calls, so a later batch over the same
-    // capacity lineage (commits since released — SessionService's steady
-    // state) answers the repeat request from the slab with no Dijkstra.
-    // Validity is carried entirely by tree_for's state-id + flip-replay
-    // check, not by scope hygiene.
-    const std::size_t slot = tree_for(source, pending, capacity);
-    const double* dist = slab_dist_.data() + slot * node_count_;
-    if (dist[target] == kInf) return make_tree({}, false);
-    net::Channel channel = extract_channel(slot, source, target);
-    capacity.commit_channel(channel.path);
-    std::vector<net::Channel> committed;
-    committed.push_back(std::move(channel));
-    return make_tree(std::move(committed), true);
-  }
-
-  // Cache disabled: nothing can ever be reused, so don't materialize a
-  // slab — extract the single channel straight from the SPF workspace.
-  run_spf(source, pending, capacity);
-  graph::spf::SpfWorkspace& ws = graph::spf::thread_context().workspace;
-  if (!ws.settled(target)) return make_tree({}, false);
-
-  net::Channel channel;
-  const double dist = ws.dist_unchecked(target);
-  channel.rate = net::rate_from_routing_distance(dist, swap_success_);
-  channel.neg_log_rate = dist + log_swap_;
-  net::NodeId cursor = target;
-  channel.path.push_back(cursor);
-  while (cursor != source) {
-    const graph::EdgeId via = ws.parent(cursor);
-    assert(via != graph::kInvalidEdge);
-    cursor = network_->graph().edge(via).other(cursor);
-    channel.path.push_back(cursor);
-  }
-  std::reverse(channel.path.begin(), channel.path.end());
+  // Pair slabs stay addressable across groups AND across route calls, so a
+  // later batch over the same capacity lineage (commits since released —
+  // SessionService's steady state) answers the repeat request from the slab
+  // with no Dijkstra. Validity is carried entirely by tree_for's state-id +
+  // flip-replay check.
+  const std::size_t slot = tree_for(source, target, capacity);
+  const double* dist = slab_dist_.data() + slot * node_count_;
+  if (dist[target] == kInf) return make_tree({}, false);
+  const graph::EdgeId* parent = slab_parent_.data() + slot * node_count_;
+  net::Channel channel = channel_to(
+      network_->graph(), target, dist[target], swap_success_, log_swap_,
+      [&](net::NodeId v) { return parent[v]; });
   capacity.commit_channel(channel.path);
   std::vector<net::Channel> committed;
   committed.push_back(std::move(channel));
@@ -535,15 +378,30 @@ net::EntanglementTree BatchRouter::route_pair(net::NodeId source,
 }
 
 void BatchRouter::build_tree(std::size_t slot, net::NodeId source,
-                             std::span<const net::NodeId> pending,
+                             net::NodeId target,
                              const net::CapacityState& capacity) {
-  const bool complete = run_spf(source, pending, capacity);
-  graph::spf::SpfWorkspace& ws = graph::spf::thread_context().workspace;
+  kDijkstraRuns.add(1);
+  MUERP_COUNTER_INC("batch/dijkstra_runs");
+  auto& ctx = graph::spf::thread_context();
+  const graph::spf::Csr& csr = ctx.affine_csr_for(
+      network_->graph(), network_->physical().attenuation, -log_swap_);
+  assert(csr.node_count() == node_count_);
+  graph::spf::SpfWorkspace& ws = ctx.workspace;
+  // Once the target settles, everything the extraction will read is final
+  // (a Dijkstra's settled prefix is bit-identical to the full run), so the
+  // rest of the frontier is abandoned.
+  std::uint64_t pops = 0;
+  const bool complete = graph::spf::run(
+      csr, ws, source, [&](std::size_t arc) { return csr.value(arc); },
+      [&](net::NodeId v) {
+        return network_->is_switch(v) && capacity.free_qubits(v) >= 2;
+      },
+      graph::spf::StopAt{target}, &pops);
+  kHeapPops.add(pops);
 
   // Extract the settled prefix into the slab. Unsettled entries read as
-  // unreachable — consumers only read settled ones (pending users covered
-  // by the early-exit countdown; parent chains of settled nodes consist of
-  // earlier-settled nodes).
+  // unreachable — consumers only read settled ones (the target; parent
+  // chains of settled nodes consist of earlier-settled nodes).
   double* dist = slab_dist_.data() + slot * node_count_;
   graph::EdgeId* parent = slab_parent_.data() + slot * node_count_;
   for (net::NodeId v = 0; v < node_count_; ++v) {
@@ -557,8 +415,7 @@ void BatchRouter::build_tree(std::size_t slot, net::NodeId source,
   }
 
   // Loss-flip marks: the nodes on a shortest path to anything a reuse may
-  // read — every user for complete slabs, the build-time pending users
-  // otherwise (reuse of incomplete slabs is restricted to subsets).
+  // read — every user for complete slabs, the build-time target otherwise.
   char* on_path = slab_on_path_.data() + slot * node_count_;
   std::fill_n(on_path, node_count_, char{0});
   const graph::Graph& g = network_->graph();
@@ -573,16 +430,15 @@ void BatchRouter::build_tree(std::size_t slot, net::NodeId source,
   if (complete) {
     for (const net::NodeId user : network_->users()) mark_path_to(user);
   } else {
-    for (const net::NodeId user : pending) mark_path_to(user);
+    mark_path_to(target);
   }
   on_path[source] = 1;
 
   SlabMeta& meta = slab_meta_[slot];
-  meta.source = source;
   meta.state_id = capacity.id();
   meta.epoch = capacity.epoch();
   meta.complete = complete;
-  meta.targets.assign(pending.begin(), pending.end());
+  meta.target = target;
 }
 
 bool BatchRouter::invalidated_by_flips(std::size_t slot,
@@ -615,27 +471,6 @@ bool BatchRouter::invalidated_by_flips(std::size_t slot,
   }
   if (coalesced != 0) kFlipsCoalesced.add(coalesced);
   return invalidated;
-}
-
-net::Channel BatchRouter::extract_channel(std::size_t slot,
-                                          net::NodeId source,
-                                          net::NodeId dest) const {
-  const double* dist = slab_dist_.data() + slot * node_count_;
-  const graph::EdgeId* parent = slab_parent_.data() + slot * node_count_;
-  assert(dist[dest] < kInf);
-  net::Channel channel;
-  channel.rate = net::rate_from_routing_distance(dist[dest], swap_success_);
-  channel.neg_log_rate = dist[dest] + log_swap_;
-  net::NodeId cursor = dest;
-  channel.path.push_back(cursor);
-  while (cursor != source) {
-    const graph::EdgeId via = parent[cursor];
-    assert(via != graph::kInvalidEdge);
-    cursor = network_->graph().edge(via).other(cursor);
-    channel.path.push_back(cursor);
-  }
-  std::reverse(channel.path.begin(), channel.path.end());
-  return channel;
 }
 
 }  // namespace muerp::routing

@@ -1,39 +1,32 @@
 // Batch multi-request routing kernel (ROADMAP item 2).
 //
 // The §VII multi-group extension routes N concurrent group requests against
-// one shared topology. The reference implementations in ext::multigroup do
-// that one group at a time, each group paying the full per-call setup — a
-// fresh CachedChannelFinder, cold shortest-path trees, run-to-exhaustion
-// Dijkstras — even though all groups share one CSR view, one CapacityState
-// and one admission pass. BatchRouter folds the whole batch into a single
-// kernel invocation:
+// one shared topology. BatchRouter folds the whole batch into a single
+// kernel invocation over one shared CSR view and one CapacityState:
 //
-//   * one shared CSR from the SPF kernel — the thread context's
-//     affine_csr_for view, keyed to Graph::topology_version(), is resolved
-//     once per Dijkstra and never rebuilt across the batch;
-//   * per-request generation-stamped SoA workspaces — shortest-path trees
-//     live in flat slab arrays (dist / parent / path-marks, slot-major), and
-//     slab ownership, pending-user membership and slab validity are all
-//     generation counters, so switching to the next request is an O(1)
-//     stamp bump instead of O(|V|) clears;
+//   * every group of three or more users grows through Algorithm 4's one
+//     growth round (routing::grow_round): per round, one multi-source
+//     Dijkstra seeded with the group's connected users that stops at the
+//     first pending user to settle;
+//   * pair requests take a fast path with a persistent slab cache. A pair
+//     needs one channel from one source, so its early-exit shortest-path
+//     tree is kept in flat slab arrays (dist / parent / path-marks,
+//     slot-major), one slab per source, across groups and route calls;
 //   * coalesced capacity bookkeeping through CapacityState epochs — a slab
 //     built at epoch e keeps serving exact answers until the coalesced
-//     relay-flip log since e can touch a source->pending-user path (the
-//     same invalidation contract as CachedChannelFinder, restricted to the
-//     entries the batch scan actually reads);
-//   * early-exit Dijkstras — the growth loop only ever reads distances at
-//     the group's *pending* users, and in Dijkstra the settled prefix of a
-//     run is bit-identical to the full run, so each run stops as soon as
-//     the last pending user settles (or the frontier drains). Trees cut
-//     short this way are flagged incomplete and conservatively invalidated
-//     by relay *gains*, whose reachability test needs the full tree.
+//     relay-flip log since e can touch the source->target path it serves
+//     (the same invalidation contract as CachedChannelFinder). A slab cut
+//     short at its target is flagged incomplete: it serves only that
+//     target, and any relay *gain* invalidates it, since the reachability
+//     test needs the full tree.
 //
 // Results are bit-identical to the sequential reference implementations:
 // under kGivenOrder / kSmallestFirst / kLargestFirst the kernel reproduces
-// ext::route_groups (same admission order, same Rng draw sequence, same
-// (distance, node-id) winner per round); under kFairShare it reproduces
-// ext::route_groups_interleaved. kGreedy has no reference: it probes each
-// request standalone and admits cheapest-first.
+// ext::route_groups_reference (same admission order, same Rng draw
+// sequence, same (distance, source rank, node-id) winner per round); under
+// kFairShare it reproduces ext::route_groups_interleaved_reference. kGreedy
+// has no reference: it probes each request standalone and admits
+// cheapest-first.
 #pragma once
 
 #include <cstdint>
@@ -43,6 +36,7 @@
 
 #include "network/channel.hpp"
 #include "network/quantum_network.hpp"
+#include "routing/prim_based.hpp"
 #include "support/rng.hpp"
 
 namespace muerp::routing {
@@ -104,7 +98,7 @@ struct BatchOptions {
 };
 
 /// Routes batches of group requests against one network. Stateful on
-/// purpose: slab arrays, stamp maps and scratch vectors persist across
+/// purpose: pair slabs and scratch vectors persist across
 /// route() calls, so a long-lived instance (SessionService, the bench loop)
 /// allocates only while the working set grows. Not thread-safe — one
 /// instance per thread, like the CapacityState it mutates.
@@ -127,30 +121,13 @@ class BatchRouter {
  private:
   /// Per-slab metadata; the tree data itself lives in the flat SoA arrays.
   struct SlabMeta {
-    net::NodeId source = 0;
     std::uint64_t state_id = 0;  // CapacityState::id() the tree was built on
     std::uint64_t epoch = 0;     // flips already accounted for
-    /// False when the Dijkstra stopped early (all pending users settled
-    /// before the frontier drained): distances beyond the settled horizon
-    /// are tentative, so relay gains invalidate the slab wholesale and
-    /// reuse is limited to pending sets within `targets`.
+    /// False when the Dijkstra stopped at `target` before the frontier
+    /// drained: distances beyond the settled horizon are tentative, so the
+    /// slab serves `target` alone and relay gains invalidate it wholesale.
     bool complete = false;
-    /// The pending users the slab was built for (ascending). Only consulted
-    /// for incomplete slabs: their dist entries are final at exactly these
-    /// nodes, so a reuse must read a subset. Complete slabs are final
-    /// everywhere and skip the check.
-    std::vector<net::NodeId> targets;
-  };
-
-  /// One growing request's state (fair-share keeps all alive at once).
-  struct Growing {
-    std::size_t request_index = 0;
-    std::vector<net::NodeId> connected;  // U1, in connection order
-    std::vector<net::NodeId> pending;    // U2, ascending node id
-    std::vector<net::Channel> committed;
-    bool failed = false;
-
-    bool finished() const { return pending.empty() || failed; }
+    net::NodeId target = 0;  // the pair target the slab was built for
   };
 
   /// Admission permutation for the sequential policies (stable, matching
@@ -166,54 +143,32 @@ class BatchRouter {
                                   net::CapacityState& capacity,
                                   bool release_on_failure);
 
-  /// Selects this round's best (source, pending-user) channel for `group`
-  /// and commits it; false when no channel exists. `compare_neg_log`
-  /// selects on neg_log_rate (= dist + ln q) instead of the raw routing
-  /// distance — the fair-share reference compares candidate channels, the
-  /// sequential reference compares distances, and the two comparisons can
-  /// disagree on ties introduced by the constant addition's rounding.
-  bool extend_one(Growing& group, net::CapacityState& capacity,
-                  bool compare_neg_log);
-
-  /// Returns the slab slot holding an up-to-date tree for `source` limited
-  /// to `pending` targets, reusing a cached slab when no relay flip since
-  /// its epoch can touch a source->pending-user path.
-  std::size_t tree_for(net::NodeId source,
-                       std::span<const net::NodeId> pending,
-                       const net::CapacityState& capacity);
-
-  /// Runs the (early-exit) Dijkstra for `source` into slab `slot`.
-  void build_tree(std::size_t slot, net::NodeId source,
-                  std::span<const net::NodeId> pending,
-                  const net::CapacityState& capacity);
-
-  /// Runs the early-exit Dijkstra for `source` in the thread-local SPF
-  /// workspace, abandoning the frontier once every `pending` user settled.
-  /// Returns true when the frontier drained (the tree is complete); false
-  /// on an early exit. The workspace stays valid until the next run.
-  bool run_spf(net::NodeId source, std::span<const net::NodeId> pending,
-               const net::CapacityState& capacity);
+  /// One growth round (grow_round) on the batch's books.
+  bool grow(Growth& growth, net::CapacityState& capacity, GrowthKey key);
 
   /// Pair-request fast path: a 2-user group needs exactly one channel from
-  /// one source, so the general grow loop's selection scan is skipped. The
-  /// pair's slab deliberately outlives the group (no begin_scope): repeat
+  /// one source. The pair's slab deliberately outlives the group: repeat
   /// requests over the same capacity lineage — SessionService arrivals
   /// after earlier sessions released — hit the slab cache and pay no
-  /// Dijkstra. With caching disabled the channel is extracted straight
-  /// from the SPF workspace and no slab is materialized. Either way the
-  /// result is bit-identical to the general path.
+  /// Dijkstra. Bit-identical to the general growth, which serves pairs
+  /// when caching is disabled.
   net::EntanglementTree route_pair(net::NodeId source, net::NodeId target,
                                    net::CapacityState& capacity);
+
+  /// Returns the slab slot holding an up-to-date tree from `source` that
+  /// covers `target`, reusing the cached slab when no relay flip since its
+  /// epoch can touch what it serves.
+  std::size_t tree_for(net::NodeId source, net::NodeId target,
+                       const net::CapacityState& capacity);
+
+  /// Runs the Dijkstra from `source`, stopping once `target` settles, into
+  /// slab `slot`.
+  void build_tree(std::size_t slot, net::NodeId source, net::NodeId target,
+                  const net::CapacityState& capacity);
 
   bool invalidated_by_flips(std::size_t slot,
                             std::span<const net::RelayFlip> flips);
 
-  /// Extracts the committed-channel form of the slab's path to `dest`.
-  net::Channel extract_channel(std::size_t slot, net::NodeId source,
-                               net::NodeId dest) const;
-
-  /// Opens a new slab scope: all cached slabs are invalidated in O(1).
-  void begin_scope();
   std::size_t acquire_slab(net::NodeId source);
 
   void route_sequential(std::span<const BatchRequest> requests,
@@ -232,23 +187,15 @@ class BatchRouter {
   std::size_t node_count_;
   bool cache_enabled_ = true;  // finder_cache_enabled(), sampled per route
 
-  Growing scratch_;  // route_one's reusable growth state
+  Growth scratch_;  // route_one's reusable growth state
 
   // SoA slab store (slot-major: entry v of slot s is at s * node_count_ + v).
   std::vector<double> slab_dist_;
   std::vector<graph::EdgeId> slab_parent_;
   std::vector<char> slab_on_path_;
   std::vector<SlabMeta> slab_meta_;
-  std::size_t slabs_used_ = 0;
 
-  // Generation-stamped node -> slab map (valid iff stamp matches scope).
-  std::vector<std::uint32_t> slab_of_;
-  std::vector<std::uint32_t> slab_of_stamp_;
-  std::uint32_t scope_gen_ = 0;
-
-  // Generation-stamped pending-membership marks for the early-exit count.
-  std::vector<std::uint32_t> pending_stamp_;
-  std::uint32_t pending_gen_ = 0;
+  std::vector<std::uint32_t> slab_of_;  // source node -> slab slot
 
   // Flip-coalescing scratch (same trick as CachedChannelFinder).
   std::vector<char> flip_parity_;

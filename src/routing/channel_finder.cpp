@@ -1,12 +1,11 @@
 #include "routing/channel_finder.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <limits>
 
 #include "graph/spf_kernel.hpp"
-#include "network/rate.hpp"
 #include "routing/perf_counters.hpp"
+#include "routing/plan.hpp"
 
 namespace muerp::routing {
 
@@ -59,19 +58,11 @@ std::optional<net::Channel> ChannelFinder::extract_channel(
     const std::vector<double>& dist,
     const std::vector<graph::EdgeId>& parent) const {
   if (dist[destination] == kInf) return std::nullopt;
-  net::Channel channel;
-  channel.rate =
-      net::rate_from_routing_distance(dist[destination], swap_success_);
-  channel.neg_log_rate = dist[destination] + log_swap_;
-  net::NodeId cursor = destination;
-  channel.path.push_back(cursor);
-  while (cursor != source) {
-    const graph::EdgeId via = parent[cursor];
-    assert(via != graph::kInvalidEdge);
-    cursor = network_->graph().edge(via).other(cursor);
-    channel.path.push_back(cursor);
-  }
-  std::reverse(channel.path.begin(), channel.path.end());
+  net::Channel channel = channel_to(
+      network_->graph(), destination, dist[destination], swap_success_,
+      log_swap_, [&](net::NodeId v) { return parent[v]; });
+  assert(channel.source() == source);
+  (void)source;
   return channel;
 }
 

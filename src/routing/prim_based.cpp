@@ -1,16 +1,96 @@
 #include "routing/prim_based.hpp"
 
+#include <algorithm>
 #include <cassert>
-#include <limits>
-#include <optional>
-#include <span>
-#include <vector>
 
-#include "routing/channel_finder.hpp"
+#include "graph/spf_kernel.hpp"
+#include "routing/perf_counters.hpp"
 #include "routing/plan.hpp"
 #include "support/telemetry/telemetry.hpp"
 
 namespace muerp::routing {
+
+namespace {
+// Namespace-scope Counter copies bake the registry id into this TU, so the
+// per-round path skips the accessor's static guard.
+const support::telemetry::Counter kDijkstraRuns = metrics::dijkstra_runs();
+const support::telemetry::Counter kHeapPops = metrics::heap_pops();
+}  // namespace
+
+void Growth::reset(std::span<const net::NodeId> users,
+                   std::size_t seed_index) {
+  assert(seed_index < users.size());
+  connected.assign(1, users[seed_index]);
+  pending.clear();
+  for (std::size_t i = 0; i < users.size(); ++i) {
+    if (i != seed_index) pending.push_back(users[i]);
+  }
+  std::sort(pending.begin(), pending.end());
+  assert(std::adjacent_find(pending.begin(), pending.end()) == pending.end() &&
+         "a group's own users must be distinct");
+  committed.clear();
+}
+
+bool grow_round(const net::QuantumNetwork& network, Growth& growth,
+                net::CapacityState& capacity, GrowthKey key) {
+  assert(!growth.connected.empty() && !growth.pending.empty());
+  kDijkstraRuns.add(1);
+  auto& ctx = graph::spf::thread_context();
+  const double log_swap = network.log_swap_success();
+  // Affine view values carry alpha * L(e) - ln(q) pre-baked; the gate is
+  // Def. 2 + Algorithm 1 Line 11 (only switches with >= 2 free qubits
+  // relay; every seeded U1 user expands as its own channel's source).
+  const graph::spf::Csr& csr = ctx.affine_csr_for(
+      network.graph(), network.physical().attenuation, -log_swap);
+  graph::spf::SpfWorkspace& ws = ctx.workspace;
+  const auto is_pending = [&](net::NodeId v) {
+    return std::binary_search(growth.pending.begin(), growth.pending.end(),
+                              v);
+  };
+
+  // The first pending user to settle is the (distance, source rank, id)
+  // minimum — the paper loop's winner. Under kNegLogRate a later pending
+  // user whose distance + ln q rounds to the same key still beats it on a
+  // lower (rank, id), so the run keeps popping until the key grows.
+  net::NodeId winner = graph::kInvalidNode;
+  double winner_key = 0.0;
+  std::uint64_t pops = 0;
+  graph::spf::run(
+      csr, ws, growth.connected,
+      [&](std::size_t slot) { return csr.value(slot); },
+      [&](net::NodeId v) {
+        return network.is_switch(v) && capacity.free_qubits(v) >= 2;
+      },
+      [&](net::NodeId v) {
+        if (winner == graph::kInvalidNode) {
+          if (!is_pending(v)) return false;
+          winner = v;
+          winner_key = ws.dist_unchecked(v) + log_swap;
+          return key == GrowthKey::kRoutingDistance;
+        }
+        if (ws.dist_unchecked(v) + log_swap > winner_key) return true;
+        if (is_pending(v) && (ws.rank(v) < ws.rank(winner) ||
+                              (ws.rank(v) == ws.rank(winner) && v < winner))) {
+          winner = v;
+        }
+        return false;
+      },
+      &pops);
+  kHeapPops.add(pops);
+  // Line 13: U1 and U2 cannot be bridged under residual capacity.
+  if (winner == graph::kInvalidNode) return false;
+
+  net::Channel channel = channel_to(
+      network.graph(), winner, ws.dist_unchecked(winner),
+      network.physical().swap_success, log_swap,
+      [&](net::NodeId v) { return ws.parent(v); });
+  capacity.commit_channel(channel.path);
+  growth.pending.erase(std::lower_bound(growth.pending.begin(),
+                                        growth.pending.end(), winner));
+  growth.connected.push_back(winner);
+  growth.committed.push_back(std::move(channel));
+  return true;
+}
 
 net::EntanglementTree prim_based_from(const net::QuantumNetwork& network,
                                       std::span<const net::NodeId> users,
@@ -25,69 +105,17 @@ net::EntanglementTree prim_based_shared(const net::QuantumNetwork& network,
                                         net::CapacityState& capacity) {
   MUERP_SPAN("prim_based/grow");
   assert(!users.empty());
-  assert(seed_user_index < users.size());
-  if (users.size() == 1) return make_tree({}, true);
-
-  std::vector<net::NodeId> connected{users[seed_user_index]};  // U1
-  // U2 as a NodeId-indexed bitmap: the selection scan below tests membership
-  // once per (source, user) pair, which a hash set would dominate.
-  std::vector<char> pending(network.graph().node_count(), 0);
-  std::size_t pending_count = 0;
-  for (std::size_t i = 0; i < users.size(); ++i) {
-    if (i != seed_user_index) {
-      pending[users[i]] = 1;
-      ++pending_count;
-    }
-  }
-
-  // The cached finder memoizes one shortest-path tree per connected source;
-  // a commit only invalidates trees that a flipped switch can reach, so most
-  // growth iterations re-run Dijkstra for the newly connected user alone.
-  // Selection scans the raw distance arrays — building Channel objects for
-  // every candidate would cost more than the memoized Dijkstras save — and
-  // only the winning (source, destination) pair is extracted into a Channel.
-  CachedChannelFinder finder(network);
-  std::vector<net::Channel> committed;
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  while (pending_count > 0) {
-    // "CurrentRate <- 0" (Line 5). Candidates compare on routing distance
-    // (= -log(rate) up to the constant swap term): a feasible channel whose
-    // Eq. (1) rate underflowed to 0 still beats "no channel", so extremely
-    // lossy trees stay feasible.
-    double best_dist = kInf;
-    net::NodeId best_source = 0;
-    net::NodeId best_destination = 0;
+  Growth growth;
+  growth.reset(users, seed_user_index);
+  while (!growth.pending.empty()) {
+    bool extended = false;
     {
       MUERP_SPAN("prim_based/channel_search");
-      for (net::NodeId source : connected) {
-        const std::span<const double> dist =
-            finder.distances(source, capacity);
-        for (net::NodeId user : network.users()) {
-          if (!pending[user]) continue;
-          if (dist[user] < best_dist) {
-            best_dist = dist[user];
-            best_source = source;
-            best_destination = user;
-          }
-        }
-      }
+      extended = grow_round(network, growth, capacity);
     }
-    if (best_dist == kInf) {
-      // Line 13: U1 and U2 cannot be bridged under residual capacity.
-      return make_tree(std::move(committed), false);
-    }
-    std::optional<net::Channel> best =
-        finder.extract_scanned(best_source, best_destination, capacity);
-    assert(best);
-    capacity.commit_channel(best->path);
-    pending[best->destination()] = 0;
-    --pending_count;
-    connected.push_back(best->destination());
-    committed.push_back(std::move(*best));
+    if (!extended) return make_tree(std::move(growth.committed), false);
   }
-
-  return make_tree(std::move(committed), true);
+  return make_tree(std::move(growth.committed), true);
 }
 
 net::EntanglementTree prim_based(const net::QuantumNetwork& network,

@@ -74,9 +74,8 @@ struct SessionServiceConfig {
   /// Rng draw sequence are bit-identical to the cold path (the kernel draws
   /// the same uniform_index seed before routing, and route_one is
   /// bit-identical to prim_based_shared — tests assert both); what changes
-  /// is cost: the kernel's slot-major slabs and pair fast path persist
-  /// across slots, so steady-state admissions skip the per-arrival Dijkstra
-  /// rebuild. This is the lever the sharded session plane uses for its
+  /// is cost: the kernel's pair slabs persist across slots, so steady-state
+  /// pair admissions skip the per-arrival Dijkstra. This is the lever the sharded session plane uses for its
   /// per-lane throughput. With a registry `algorithm` the flag routes
   /// through Router::route_batch_trees, which skips the cold path's unused
   /// seed draw — a different Rng sequence, so those runs diverge from the

@@ -1,6 +1,7 @@
 // SPF kernel tests: CSR equivalence against the adjacency list, workspace
 // reuse (including the generation-counter wrap), heap ordering under
-// decrease-key, the stop predicate's settled prefix, and the regressions
+// decrease-key, the stop predicate's settled prefix, multi-source runs
+// against the per-source runs they fold together, and the regressions
 // that pin the kernel to the seed's lazy-heap Dijkstra bit for bit — on
 // random graphs from §V-A size up past the session daemon's 228 nodes, and
 // on the §V-A instances themselves.
@@ -91,8 +92,13 @@ TEST(Context, CachesViewsPerTopologyVersion) {
     EXPECT_EQ(affine->value(slot), 2.0 * first->value(slot) + 1.0);
   }
 
-  // Mutation changes the version: the cached view must be rebuilt.
-  g.add_edge(0, 11, 3.0);
+  // Mutation changes the version: the cached view must be rebuilt. The new
+  // edge joins an absent pair — a parallel edge violates add_edge's
+  // precondition.
+  graph::NodeId other = 1;
+  while (other < g.node_count() && g.has_edge(0, other)) ++other;
+  ASSERT_LT(other, g.node_count());
+  g.add_edge(0, other, 3.0);
   const graph::spf::Csr& rebuilt = ctx.csr_for(g);
   EXPECT_EQ(rebuilt.arc_count(), 2 * g.edge_count());
 }
@@ -315,6 +321,122 @@ TEST(SpfKernel, StopPredicateReportsDrainAndKeepsSettledPrefix) {
     EXPECT_EQ(never.dist(v), full.dist(v));
     EXPECT_EQ(never.parent(v), full.parent(v));
   }
+}
+
+/// A run seeded with k sources against the k single-source runs it folds
+/// together, on random graphs with a relay gate and banned arcs. Arc costs
+/// are small integers, so sums are exact and distance ties — the case the
+/// source rank decides — are frequent. Every node must settle with the
+/// lexicographically least (distance, rank) over the single-source runs
+/// and with the winning source's own parent arc; a run stopped at the
+/// first target to settle must stop at the (distance, rank, id) minimum
+/// and leave that source's single-source path to it; and run() must report
+/// a drain exactly when the stop never fired.
+TEST(SpfKernel, MultiSourceRunIsLexicographicMinimumOfSingleSourceRuns) {
+  std::mt19937 rng(71);
+  std::size_t ties = 0;
+  std::size_t early_stops = 0;
+  for (int round = 0; round < 48; ++round) {
+    const std::size_t nodes = 20 + 9 * static_cast<std::size_t>(round);
+    const graph::Graph g = random_graph(rng, nodes, 4.0 / nodes);
+    graph::spf::Csr csr;
+    csr.build_from(g);
+    std::uniform_int_distribution<int> unit_cost(1, 4);
+    std::vector<double> cost(g.edge_count());
+    for (graph::EdgeId e = 0; e < g.edge_count(); ++e) {
+      cost[e] = (e * 40503u) % 13u == 0 ? kInf : unit_cost(rng);
+    }
+    auto weight = [&](std::size_t slot) { return cost[csr.edge_id(slot)]; };
+    auto gate = [](graph::NodeId v) { return (v * 2654435761u) % 5u != 0; };
+
+    const std::size_t k = 1 + static_cast<std::size_t>(round) % 6;
+    std::vector<graph::NodeId> sources;
+    std::uniform_int_distribution<graph::NodeId> pick(
+        0, static_cast<graph::NodeId>(nodes - 1));
+    while (sources.size() < k) {
+      const graph::NodeId v = pick(rng);
+      if (std::find(sources.begin(), sources.end(), v) == sources.end()) {
+        sources.push_back(v);
+      }
+    }
+    std::vector<graph::spf::SpfWorkspace> single(k);
+    for (std::size_t i = 0; i < k; ++i) {
+      graph::spf::run(csr, single[i], sources[i], weight, gate);
+    }
+    // Lexicographic minimum per node: strict < keeps the lowest rank.
+    std::vector<double> best_dist(nodes, kInf);
+    std::vector<std::uint32_t> best_rank(nodes, 0);
+    for (graph::NodeId v = 0; v < nodes; ++v) {
+      for (std::uint32_t i = 0; i < k; ++i) {
+        if (single[i].dist(v) == best_dist[v] && best_dist[v] < kInf) ++ties;
+        if (single[i].dist(v) < best_dist[v]) {
+          best_dist[v] = single[i].dist(v);
+          best_rank[v] = i;
+        }
+      }
+    }
+
+    graph::spf::SpfWorkspace multi;
+    std::uint64_t pops = 0;
+    EXPECT_TRUE(graph::spf::run(csr, multi, sources, weight, gate,
+                                graph::spf::NeverStop{}, &pops));
+    std::size_t reached = 0;
+    for (graph::NodeId v = 0; v < nodes; ++v) {
+      ASSERT_EQ(multi.dist(v), best_dist[v]) << "round " << round << " node "
+                                             << v;
+      if (best_dist[v] == kInf) continue;
+      ++reached;
+      ASSERT_TRUE(multi.settled(v));
+      EXPECT_EQ(multi.rank(v), best_rank[v])
+          << "round " << round << " node " << v;
+      EXPECT_EQ(multi.parent(v), single[best_rank[v]].parent(v))
+          << "round " << round << " node " << v;
+    }
+    EXPECT_EQ(pops, reached);
+
+    // Stop at the first of a random target set to settle (the set is empty
+    // every fifth round, so the run must drain).
+    std::vector<char> is_target(nodes, 0);
+    graph::NodeId want = graph::kInvalidNode;
+    if (round % 5 != 4) {
+      for (graph::NodeId v = 0; v < nodes; ++v) {
+        if (std::find(sources.begin(), sources.end(), v) != sources.end() ||
+            rng() % 8 != 0) {
+          continue;
+        }
+        is_target[v] = 1;
+        if (best_dist[v] == kInf) continue;
+        if (want == graph::kInvalidNode || best_dist[v] < best_dist[want] ||
+            (best_dist[v] == best_dist[want] &&
+             best_rank[v] < best_rank[want])) {
+          want = v;  // ascending v: ids break the remaining ties
+        }
+      }
+    }
+    graph::spf::SpfWorkspace early;
+    graph::NodeId first = graph::kInvalidNode;
+    const bool drained = graph::spf::run(
+        csr, early, sources, weight, gate, [&](graph::NodeId v) {
+          if (is_target[v] == 0) return false;
+          first = v;
+          return true;
+        });
+    EXPECT_EQ(drained, first == graph::kInvalidNode);
+    ASSERT_EQ(first, want) << "round " << round;
+    if (first == graph::kInvalidNode) continue;
+    ++early_stops;
+    const graph::spf::SpfWorkspace& winner = single[early.rank(first)];
+    graph::NodeId cursor = first;
+    for (;;) {
+      const graph::EdgeId via = early.parent(cursor);
+      ASSERT_EQ(via, winner.parent(cursor)) << "round " << round;
+      if (via == graph::kInvalidEdge) break;
+      cursor = g.edge(via).other(cursor);
+    }
+    EXPECT_EQ(cursor, sources[early.rank(first)]);
+  }
+  EXPECT_GT(ties, 100u) << "integer costs should produce distance ties";
+  EXPECT_GT(early_stops, 20u);
 }
 
 /// The tentpole's contract on the paper's own workload: on §V-A default

@@ -13,6 +13,7 @@
 #include "network/channel.hpp"
 #include "network/network_builder.hpp"
 #include "network/rate.hpp"
+#include "routing/channel_finder.hpp"
 #include "routing/prim_based.hpp"
 #include "routing/router.hpp"
 #include "support/rng.hpp"
@@ -124,18 +125,19 @@ TEST_P(BatchOracle, FairShareMatchesInterleavedReference) {
 }
 
 /// Warm single-arrival admission at daemon scale, in lockstep with the
-/// cold path. The network is the session daemon's shape — Waxman, 100
-/// switches, 128 users, 16 qubits per switch (one lane's share of Q = 128
-/// over 8 lanes) — and sessions churn: each group of |U| = 2, 3, 4 or 10 is
-/// admitted by one long-lived BatchRouter (kGivenOrder, release_on_failure:
-/// SessionService's intake) and, on a second capacity pool, by
-/// prim_based_shared with the rollback SessionService::admit() performs;
-/// every few arrivals about half the held sessions are released on both
-/// pools. Trees, channel rates and residual capacity must agree bit for bit
-/// after every step. Pairs matter here: their slabs outlive the call, so a
-/// slab wrongly marked complete after an early exit would serve a later
-/// request from tentative distances.
-TEST_P(BatchOracle, SingleArrivalsMatchPrimBasedSharedAtDaemonScale) {
+/// paper-literal Algorithm 4 (ext::prim_based_reference: one full Dijkstra
+/// per connected source per round, no early exit, no cache). The network is
+/// the session daemon's shape — Waxman, 100 switches, 128 users, 16 qubits
+/// per switch (one lane's share of Q = 128 over 8 lanes) — and sessions
+/// churn: each group of |U| = 2, 3, 4 or 10 is admitted by one long-lived
+/// BatchRouter (kGivenOrder, release_on_failure: SessionService's intake)
+/// and, on a second capacity pool, by the reference with the rollback
+/// SessionService::admit() performs; every few arrivals about half the held
+/// sessions are released on both pools. Trees, channel rates and residual
+/// capacity must agree bit for bit after every step. Pairs matter here:
+/// their slabs outlive the call, so a slab wrongly marked complete after an
+/// early exit would serve a later request from tentative distances.
+TEST_P(BatchOracle, SingleArrivalsMatchPaperLiteralGrowthAtDaemonScale) {
   experiment::Scenario scenario;
   scenario.switch_count = 100;
   scenario.user_count = 128;
@@ -174,7 +176,7 @@ TEST_P(BatchOracle, SingleArrivalsMatchPrimBasedSharedAtDaemonScale) {
       const auto seed =
           static_cast<std::size_t>(cold_rng.uniform_index(group.size()));
       const net::EntanglementTree want =
-          prim_based_shared(network, group, seed, cold_capacity);
+          ext::prim_based_reference(network, group, seed, cold_capacity);
       if (!want.feasible) {
         for (const net::Channel& ch : want.channels) {
           cold_capacity.release_channel(ch.path);
@@ -224,6 +226,81 @@ TEST_P(BatchOracle, SingleArrivalsMatchPrimBasedSharedAtDaemonScale) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BatchOracle,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+/// Fair-share compares candidate channels on neg_log_rate = distance + ln q,
+/// and adding ln q can round two distinct distances into one key. Here user
+/// `near` sits one rounding step closer to `hub` than user `far`, yet both
+/// keys are equal, and `far` has the lower id — so the interleaved
+/// reference's first-wins scan picks `far`, while a growth round that stops
+/// at the first pending user to settle would pick `near`. (The collision
+/// needs two-hop channels: ln 0.5's lowest mantissa bit sits half an ulp
+/// below the keys, and one-hop distances always round to even there.)
+TEST(BatchOracle, FairShareBreaksRoundedKeyTiesLikeInterleavedReference) {
+  const net::PhysicalParams physical{1e-4, 0.5};
+  const double log_swap = std::log(physical.swap_success);
+  const auto weight = [&](double length_km) {
+    return physical.attenuation * length_km + -log_swap;
+  };
+  constexpr double kHubKm = 2000.0;
+  const auto distance = [&](double length_km) {
+    return weight(kHubKm) + weight(length_km);
+  };
+  // Walk the user-side fiber length upward in single-ulp steps until two
+  // lengths give distinct distances whose keys round together.
+  double near_km = kHubKm;
+  double far_km = near_km;
+  for (int step = 0; step < 100000; ++step) {
+    far_km = std::nextafter(far_km, 2 * kHubKm);
+    if (distance(far_km) == distance(near_km)) continue;
+    if (distance(far_km) + log_swap == distance(near_km) + log_swap) break;
+    near_km = far_km;
+  }
+  ASSERT_GT(distance(far_km), distance(near_km));
+  ASSERT_EQ(distance(far_km) + log_swap, distance(near_km) + log_swap);
+
+  net::NetworkBuilder builder;
+  const NodeId far = builder.add_user({0, 0});
+  const NodeId near = builder.add_user({1, 0});
+  const NodeId hub = builder.add_user({0, 1});
+  const NodeId far_switch = builder.add_switch({0, 2}, 4);
+  const NodeId near_switch = builder.add_switch({1, 2}, 4);
+  builder.connect(hub, far_switch, kHubKm);
+  builder.connect(far_switch, far, far_km);
+  builder.connect(hub, near_switch, kHubKm);
+  builder.connect(near_switch, near, near_km);
+  const net::QuantumNetwork network = std::move(builder).build(physical);
+  const ChannelFinder finder(network);
+  const net::CapacityState full(network);
+  double routed = 0.0;
+  ASSERT_TRUE(finder.find_best_channel(hub, far, full, &routed));
+  ASSERT_EQ(routed, distance(far_km));
+  ASSERT_TRUE(finder.find_best_channel(hub, near, full, &routed));
+  ASSERT_EQ(routed, distance(near_km));
+
+  std::vector<ext::GroupRequest> groups(1);
+  groups[0].users = {far, near, hub};
+  bool hub_seeded = false;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    support::Rng r1(seed);
+    support::Rng r2(seed);
+    const auto expected =
+        ext::route_groups_interleaved_reference(network, groups, r1);
+    const auto actual = ext::route_groups_interleaved(network, groups, r2);
+    ASSERT_EQ(expected.outcomes.size(), 1u);
+    ASSERT_EQ(actual.outcomes.size(), 1u);
+    const auto& want = expected.outcomes[0].tree.channels;
+    const auto& got = actual.outcomes[0].tree.channels;
+    ASSERT_EQ(want.size(), 2u);
+    ASSERT_EQ(got.size(), 2u);
+    EXPECT_EQ(got[0].path, want[0].path) << "seed " << seed;
+    EXPECT_EQ(got[1].path, want[1].path) << "seed " << seed;
+    if (want[0].source() == hub) {
+      hub_seeded = true;
+      EXPECT_EQ(want[0].destination(), far) << "reference tie rule";
+    }
+  }
+  EXPECT_TRUE(hub_seeded) << "some seed must start the growth at the hub";
+}
 
 /// Concurrent batches on separate threads reproduce the serial result:
 /// the SPF thread context and the router's slab state are per-instance /

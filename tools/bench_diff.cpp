@@ -10,7 +10,8 @@
 // Machines differ, so the gate never judges absolute milliseconds. It
 // checks what is machine-independent:
 //
-//   * speedup ratios (cached-vs-uncached per algorithm, greedy hot path and
+//   * speedup ratios (cached-vs-uncached per algorithm, the greedy hot path
+//     — Algorithm 4's growth vs its paper-literal reference — the greedy
 //     total, SPF kernel at §V-A and session size) must not drop more than
 //     --tolerance below the baseline;
 //   * "identical" result flags that were true must stay true;
@@ -220,6 +221,9 @@ int main(int argc, char** argv) {
                        baseline.value[section]["speedup"].number_value,
                        current.value[section]["speedup"].number_value);
   }
+  gate.check_flag("greedy_hot_path identical",
+                  baseline.value["greedy_hot_path"]["identical"].bool_value,
+                  current.value["greedy_hot_path"]["identical"].bool_value);
   // Kernel-vs-legacy Dijkstra at the §V-A size and at the session daemon's.
   for (const char* section : {"spf_kernel", "spf_kernel_session"}) {
     gate.check_speedup(section,
