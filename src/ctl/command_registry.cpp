@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <stdexcept>
 
 namespace muerp::ctl {
@@ -219,6 +220,18 @@ std::string CommandRegistry::describe_json() const {
   }
   out += "]}";
   return out;
+}
+
+std::string token_json(const std::string& text) {
+  if (text == "true" || text == "false" || text == "null") return text;
+  if (!text.empty()) {
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (end == text.c_str() + text.size()) {
+      return support::json::number(value);
+    }
+  }
+  return support::json::quote(text);
 }
 
 }  // namespace muerp::ctl

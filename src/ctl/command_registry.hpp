@@ -140,4 +140,11 @@ class CommandRegistry {
   std::vector<CommandSpec> commands_;  // kept sorted by name
 };
 
+/// Renders a command-line token as the JSON value the ctl API expects:
+/// numbers and booleans pass through typed, everything else is a string.
+/// `muerpctl ctl set <name> <value>` and muerpd's setting flags both type
+/// their text with it, so a flag and `ctl set` hand a setting row the same
+/// value.
+std::string token_json(const std::string& text);
+
 }  // namespace muerp::ctl

@@ -15,6 +15,7 @@
 #include "ctl/command_registry.hpp"       // IWYU pragma: export
 #include "ctl/history.hpp"                // IWYU pragma: export
 #include "ctl/mailbox.hpp"                // IWYU pragma: export
+#include "daemon/daemon.hpp"              // IWYU pragma: export
 #include "experiment/config.hpp"          // IWYU pragma: export
 #include "experiment/report.hpp"          // IWYU pragma: export
 #include "experiment/runner.hpp"          // IWYU pragma: export

@@ -2,8 +2,9 @@
 // long-lived object.
 //
 // ProtocolSimulator::run() scores a whole horizon in one call; a daemon
-// (tools/muerpd.cpp) and incremental tests need the same loop advanced one
-// execution window at a time while the process keeps serving /metrics.
+// (daemon::Daemon, behind muerpd) and incremental tests need the same loop
+// advanced one execution window at a time while the process keeps serving
+// /metrics.
 // SessionService extracts that loop: each step() plays exactly one slot —
 // Bernoulli arrival, admission routing against residual switch capacity,
 // one execution attempt per active session at its tree rate (Eq. (2)),

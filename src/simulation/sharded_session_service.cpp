@@ -194,7 +194,8 @@ ShardTickReport ShardedSessionService::run_slots(std::uint64_t n) {
   support::ThreadPool::shared().parallel_for(
       lanes_.size(), static_cast<unsigned>(config_.shard_count),
       [&](std::size_t lane) { step_lane(lane, n); });
-  slot_ += n;
+  slot_.store(slot_.load(std::memory_order_relaxed) + n,
+              std::memory_order_relaxed);
 
   // Fixed lane-order merge: float sums associate identically no matter how
   // many workers stepped the lanes.
@@ -390,9 +391,11 @@ ShardedSessionService::link_stats() const {
   std::vector<support::telemetry::LinkStat> merged;
   for (const auto& lane : lanes_) {
     if (!lane->ledger) continue;
-    // Lanes run in lockstep, so each lane's own slot is the right "now".
-    support::telemetry::merge_link_stats(
-        merged, lane->ledger->snapshot(lane->service->slot()));
+    // Lanes run in lockstep, so the last slot every lane completed is the
+    // right "now" — and unlike a lane's own counter it is safe to read
+    // while the lanes step.
+    support::telemetry::merge_link_stats(merged,
+                                         lane->ledger->snapshot(slot()));
   }
   support::telemetry::finalize_merged_link_stats(merged);
   // Endpoints from the base topology: edge a/b, switch node id in `a`.

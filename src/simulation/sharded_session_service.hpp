@@ -37,6 +37,7 @@
 // exported totals are deterministic as well.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -131,7 +132,9 @@ class ShardedSessionService {
   ShardTickReport step() { return run_slots(1); }
 
   /// Slots played so far (identical for every lane).
-  std::uint64_t slot() const noexcept { return slot_; }
+  std::uint64_t slot() const noexcept {
+    return slot_.load(std::memory_order_relaxed);
+  }
 
   std::size_t lane_count() const noexcept { return lanes_.size(); }
   std::size_t shard_count() const noexcept { return config_.shard_count; }
@@ -261,7 +264,9 @@ class ShardedSessionService {
   /// writes only its own lanes' slots, the merge reads them after the join.
   std::vector<ShardTickReport> lane_ticks_;
   std::vector<ShardInstruments> shard_instruments_;
-  std::uint64_t slot_ = 0;
+  /// Slots completed by every lane: written after each run_slots() join,
+  /// read by link_stats() from query threads while lanes run.
+  std::atomic<std::uint64_t> slot_{0};
   int total_switch_qubits_ = 0;
 };
 

@@ -268,7 +268,9 @@ void LogTokenBucket::reconfigure(double per_second, double burst) noexcept {
   const std::lock_guard<std::mutex> lock(mutex_);
   per_second_ = per_second;
   burst_ = burst < 1.0 ? 1.0 : burst;
-  if (tokens_ > burst_) tokens_ = burst_;
+  // A bucket that has not metered an event yet starts full, exactly as if
+  // it had been constructed with the new budget.
+  if (last_ns_ == 0 || tokens_ > burst_) tokens_ = burst_;
 }
 
 }  // namespace muerp::support::telemetry

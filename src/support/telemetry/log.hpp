@@ -196,7 +196,9 @@ class LogTokenBucket {
   /// Events refused since construction.
   std::uint64_t suppressed() const noexcept;
 
-  /// Swaps in a new rate/burst, clamping stored tokens to the new burst.
+  /// Swaps in a new rate/burst, clamping stored tokens to the new burst (a
+  /// bucket that has not metered an event yet refills to it, so a budget
+  /// set right after construction behaves like a constructed one).
   /// The suppressed() count carries over — it is a lifetime total. Lets the
   /// control plane retune a live daemon's log budget (`ctl set log-rate`).
   void reconfigure(double per_second, double burst) noexcept;

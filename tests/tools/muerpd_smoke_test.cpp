@@ -1066,7 +1066,7 @@ int run_muerpd(const std::string& flags) {
 TEST(MuerpdSmoke, RejectsUnknownAlgorithm) {
   int status = run_muerpd("--port 0 --slots 1 --algorithm no-such-router");
   ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_NE(WEXITSTATUS(status), 0);
+  EXPECT_EQ(WEXITSTATUS(status), 2);
 
   // A combination the service refuses (fair-share needs the batch-native
   // kernel, and --batch-single routes through it) is a flag error, not an
@@ -1076,6 +1076,92 @@ TEST(MuerpdSmoke, RejectsUnknownAlgorithm) {
       "--algorithm alg3");
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 2);
+}
+
+/// Runs muerpd with `flags` to completion; returns its exit code and puts
+/// its stderr in *err.
+int run_muerpd_stderr(const std::string& flags, std::string* err) {
+  const std::string command =
+      std::string(MUERPD_BINARY) + " " + flags + " 2>&1 >/dev/null";
+  FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return -1;
+  char line[512];
+  while (std::fgets(line, sizeof line, pipe) != nullptr) *err += line;
+  const int status = ::pclose(pipe);
+  return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+TEST(MuerpdSmoke, SettingFlagsRefuseWhatCtlSetRefuses) {
+  // A live daemon answers `ctl set` for the same values.
+  DaemonProcess daemon = spawn_muerpd({"--port", "0", "--slots", "0",
+                                       "--slot-ms", "1", "--arrival", "0.2",
+                                       "--seed", "31", "--timeout", "40"});
+  ASSERT_GT(daemon.pid, 0);
+  const std::uint16_t port = read_serving_port(daemon.out);
+  ASSERT_NE(port, 0);
+  const std::string endpoint = "127.0.0.1:" + std::to_string(port);
+
+  const struct {
+    const char* flag;
+    const char* setting;
+    const char* value;
+  } refused[] = {{"arrival", "arrival-rate", "1.5"},
+                 {"arrival", "arrival-rate", "-0.5"},
+                 {"arrival", "arrival-rate", "nan"},
+                 {"log-rate", "log-rate", "-1"},
+                 {"sample-interval-ms", "sample-interval-ms", "5000000"},
+                 {"arrival-burst", "arrival-burst", "0"},
+                 {"batch-policy", "batch-policy", "no-such-policy"},
+                 {"log-level", "log-level", "loud"},
+                 {"algorithm", "algorithm", "no-such-router"}};
+  for (const auto& r : refused) {
+    std::string envelope;
+    EXPECT_EQ(run_muerpctl(std::string("ctl set ") + r.setting + " " +
+                               r.value + " --endpoint " + endpoint,
+                           &envelope),
+              1)
+        << r.setting << " " << r.value << ": " << envelope;
+    const auto doc = muerp::support::json::parse(envelope);
+    ASSERT_TRUE(doc.ok()) << envelope;
+    const std::string message = doc.value["error"].string_value;
+    ASSERT_FALSE(message.empty()) << envelope;
+
+    std::string err;
+    EXPECT_EQ(run_muerpd_stderr(std::string("--port 0 --slots 1 --") +
+                                    r.flag + " " + r.value,
+                                &err),
+              2)
+        << "--" << r.flag << " " << r.value << ": " << err;
+    EXPECT_NE(err.find("--" + std::string(r.flag) + ": " + message),
+              std::string::npos)
+        << "flag: " << err << "ctl set: " << message;
+  }
+
+  // Every other flag-value error exits 2 as well; runtime failures exit 1.
+  std::string err;
+  EXPECT_EQ(run_muerpd_stderr("--port 0 --slots 1 --tick-batch 0", &err), 2)
+      << err;
+  EXPECT_EQ(run_muerpd_stderr("--port 0 --slots 1 --log-format yaml", &err),
+            2)
+      << err;
+  EXPECT_EQ(run_muerpd_stderr("--port 0 --slots 1 --net /nonexistent/net.txt",
+                              &err),
+            1)
+      << err;
+  EXPECT_EQ(run_muerpd_stderr("--port 0 --slots 1 --history "
+                              "/nonexistent/dir/muerpd.hist",
+                              &err),
+            1)
+      << err;
+  EXPECT_EQ(run_muerpd_stderr("--slots 1 --port " + std::to_string(port),
+                              &err),
+            1)
+      << err;
+
+  ctl(port, "drain");
+  const int status = wait_exit(daemon.pid, 10000);
+  ASSERT_NE(status, -1) << "daemon did not exit after ctl drain";
+  std::fclose(daemon.out);
 }
 
 }  // namespace

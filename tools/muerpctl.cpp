@@ -429,20 +429,6 @@ int cmd_simulate(const support::CliParser& cli) {
 // ---------------------------------------------------------------------------
 // ctl: drive a live muerpd through its versioned command API.
 
-/// Renders a command-line token as the JSON value the ctl API expects:
-/// numbers and booleans pass through typed, everything else is a string.
-std::string token_to_json(const std::string& text) {
-  if (text == "true" || text == "false" || text == "null") return text;
-  if (!text.empty()) {
-    char* end = nullptr;
-    const double value = std::strtod(text.c_str(), &end);
-    if (end == text.c_str() + text.size()) {
-      return support::json::number(value);
-    }
-  }
-  return support::json::quote(text);
-}
-
 /// Renders trailing `key=value` positionals as a JSON args object (what the
 /// sessions/slo verbs take). Empty string on a token with no '='; "{}" when
 /// there were none.
@@ -454,7 +440,7 @@ std::string kv_args_json(const std::vector<std::string>& pos,
     if (eq == std::string::npos || eq == 0) return std::string();
     if (json.size() > 1) json += ", ";
     json += support::json::quote(pos[i].substr(0, eq)) + ": " +
-            token_to_json(pos[i].substr(eq + 1));
+            ctl::token_json(pos[i].substr(eq + 1));
   }
   return json + "}";
 }
@@ -476,7 +462,7 @@ int cmd_ctl(const support::CliParser& cli) {
       return usage_fail("usage: muerpctl ctl set <name> <value>");
     }
     args_json = "{\"name\": " + support::json::quote(pos[2]) +
-                ", \"value\": " + token_to_json(pos[3]) + "}";
+                ", \"value\": " + ctl::token_json(pos[3]) + "}";
   } else if (verb == "get") {
     if (pos.size() != 3) return usage_fail("usage: muerpctl ctl get <name>");
     args_json = "{\"name\": " + support::json::quote(pos[2]) + "}";
@@ -496,7 +482,7 @@ int cmd_ctl(const support::CliParser& cli) {
     if (pos.size() < 3 || pos.size() > 4) {
       return usage_fail("usage: muerpctl ctl session <id> [json|trace]");
     }
-    args_json = "{\"id\": " + token_to_json(pos[2]);
+    args_json = "{\"id\": " + ctl::token_json(pos[2]);
     if (pos.size() == 4) {
       args_json += ", \"format\": " + support::json::quote(pos[3]);
     }
@@ -512,7 +498,7 @@ int cmd_ctl(const support::CliParser& cli) {
     if (pos.size() != 3) {
       return usage_fail("usage: muerpctl ctl explain <id>");
     }
-    args_json = "{\"id\": " + token_to_json(pos[2]) + "}";
+    args_json = "{\"id\": " + ctl::token_json(pos[2]) + "}";
   } else if (verb == "slo") {
     if (pos.size() == 2 || (pos.size() == 3 && pos[2] == "list")) {
       // list is the default action — no args needed
